@@ -595,10 +595,14 @@ def bracket_from_dict(data):
         raise ValueError(f"malformed bracket document: {exc}") from exc
     dim = q + n
     c = np.zeros((dim, dim, dim))
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"malformed bracket document: entries is not a list: {entries!r}")
     for ent in entries:
-        if len(ent) != 4:
-            raise ValueError(f"malformed entry {ent!r}")
-        i, j, k, v = int(ent[0]), int(ent[1]), int(ent[2]), float(ent[3])
+        try:
+            i, j, k, v = ent
+            i, j, k, v = int(i), int(j), int(k), float(v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed entry {ent!r}: expected [i, j, k, value]") from exc
         if not (0 <= i < j < dim and 0 <= k < dim):
             raise ValueError(f"entry indices out of range in {ent!r}")
         c[i, j, k] += v

@@ -134,6 +134,8 @@ def _read_trajectory_sample(path):
         parts = dict(tok.split("=") for tok in meta[2:].split())
         q, n = int(parts["q"]), int(parts["n"])
         rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"{path} has no trajectory rows to resume from")
     header, last = rows[0], rows[-1]
     dim = q + n
     c = np.zeros((dim, dim, dim))

@@ -43,13 +43,14 @@ rotates every tensor entry, so the orbit distance
     d(mu, lam) = min_{h in O(n)} || h . w_mu - w_lam ||
 
 vanishes exactly on pairs related by an orthogonal change of tangent
-basis.  The minimum is approximated over the two components of O(n) by
-multi-start pattern search followed by a least-squares polish.
+basis.  Such an h also carries the Ricci eigenframe of mu onto that of
+lam, so the minimum is sought over a finite set of frame alignments
+(exact for a simple Ricci spectrum, seeded random block rotations on
+repeated eigenspaces) followed by one least-squares polish.
 """
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import expm
@@ -126,25 +127,30 @@ def riemann_origin(mu):
     return riem
 
 
-def ricci_operator(mu):
-    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b)."""
-    riem = riemann_origin(mu)
+def _ricci(riem):
+    """Symmetrized Ricci form Ric[a, b] = sum_k Riem[k, a, b, k]."""
     ric = np.einsum("kabk->ab", riem)
     return 0.5 * (ric + ric.T)
 
 
-def scalar_invariants(mu, count=None):
-    """Power traces f_k = tr(Ric^k), k = 1..count (default n)."""
-    ric = ricci_operator(mu)
-    n = ric.shape[0]
-    if count is None:
-        count = n
+def _power_traces(ric, count):
+    """tr(Ric^k) for k = 1..count."""
     out = []
-    power = np.eye(n)
+    power = np.eye(ric.shape[0])
     for _ in range(count):
         power = power @ ric
         out.append(float(np.trace(power)))
     return out
+
+
+def ricci_operator(mu):
+    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b)."""
+    return _ricci(riemann_origin(mu))
+
+
+def scalar_invariants(mu, count=None):
+    """Power traces f_k = tr(Ric^k), k = 1..count (default n)."""
+    return _power_traces(ricci_operator(mu), mu.n if count is None else count)
 
 
 class CurvatureData:
@@ -174,15 +180,8 @@ class CurvatureData:
 
 def curvature_data(mu):
     riem = riemann_origin(mu)
-    ric = np.einsum("kabk->ab", riem)
-    ric = 0.5 * (ric + ric.T)
-    n = ric.shape[0]
-    inv = []
-    power = np.eye(n)
-    for _ in range(n):
-        power = power @ ric
-        inv.append(float(np.trace(power)))
-    return CurvatureData(riem, ric, inv)
+    ric = _ricci(riem)
+    return CurvatureData(riem, ric, _power_traces(ric, mu.n))
 
 
 class Fingerprint:
@@ -242,80 +241,78 @@ def _skew_from_params(theta, n):
     return s
 
 
-def _descend(objective, theta0, r0, step0=0.5, step_min=1e-2, max_sweeps=2000):
-    """Coarse pattern search; returns (best value, best parameters)."""
-    theta = np.array(theta0, float)
-    best = objective(theta, r0)
-    step = step0
-    sweeps = 0
-    m = theta.size
-    while step >= step_min and sweeps < max_sweeps:
-        improved = False
-        for i in range(m):
-            base = theta[i]
-            for delta in (step, -step):
-                theta[i] = base + delta
-                val = objective(theta, r0)
-                if val < best:
-                    best = val
-                    base = theta[i]
-                    improved = True
-                    break
-                theta[i] = base
-        sweeps += 1
-        if not improved:
-            step *= 0.5
-    return best, theta
+# Neighbouring Ricci eigenvalues of mu closer than this, relative to the
+# largest |eigenvalue|, are treated as one eigenspace.  Rounding splits a
+# repeated eigenvalue by about 1e-15 relative, and below this gap the
+# eigenvectors themselves are too ill-conditioned (error ~ 1e-16 / gap)
+# to be matched one by one.
+_CLUSTER_GAP = 1e-6
+
+
+def _block_rotations(eigenvalues, restarts, seed):
+    """Identity, plus `restarts` Haar-random rotations of each repeated
+    eigenspace of an ascending spectrum (none if the spectrum is simple)."""
+    n = eigenvalues.size
+    tol = _CLUSTER_GAP * float(np.max(np.abs(eigenvalues)))
+    cuts = [0] + [i for i in range(1, n)
+                  if eigenvalues[i] - eigenvalues[i - 1] > tol] + [n]
+    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    out = [np.eye(n)]
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts if blocks else 0):
+        b = np.eye(n)
+        for lo, hi in blocks:
+            g, r = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+            b[lo:hi, lo:hi] = g * np.sign(np.diag(r))
+        out.append(b)
+    return out
 
 
 def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
     """Distance between rotation orbits of curvature fingerprints.
 
-    Minimizes || h . w_mu - w_lam || over h in O(n), parameterizing each
-    component of O(n) by the skew-symmetric logarithm.  Every restart
-    (identity, reflection, random rotations) runs a coarse pattern
-    search to locate a basin and then a Levenberg-Marquardt pass on the
-    entry-wise residuals, which converges quadratically when the orbits
-    actually intersect.  The result is an upper bound for the true orbit
-    distance that is sharp in practice for small n; identical arguments
-    and seed give identical output.  Set the environment variable
-    HOMLIE_THREADS to parallelize restarts.
+    Minimizes || h . w_mu - w_lam || over h in O(n).  If h . w_mu = w_lam
+    then h carries the Ricci eigenframe U_mu of mu onto that of lam, so
+    the candidates are the identity and h = U_lam diag(s) B U_mu^T for
+    every sign vector s in {+-1}^n (both components of O(n)).  B is the
+    identity and, when the Ricci spectrum of mu has a repeated eigenvalue,
+    also `restarts` block-diagonal rotations, Haar-random on each repeated
+    eigenspace and drawn from `seed`.  A Levenberg-Marquardt pass on the
+    entry-wise residuals, h = h0 expm(S(theta)), polishes the best
+    candidate h0.
+
+    With a simple spectrum the candidate set is exact: it holds every h
+    that matches the Ricci forms, so a rotated pair is found.  With a
+    repeated eigenvalue the random block rotations are a heuristic, and
+    `restarts` and `seed` matter only there.  On distinct spaces no h
+    matches and the polished alignment is only a local minimum.  The
+    result is an upper bound for the true orbit distance, never above
+    || w_mu - w_lam ||; identical arguments give identical output.
     """
     if mu.n != lam.n:
         raise ValueError("fingerprint comparison needs matching tangent dimensions")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = mu.n
-    wa = fingerprint(mu, order).tensors
-    wb = fingerprint(lam, order).tensors
+    wa = [np.asarray(t, float) for t in fingerprint(mu, order).tensors]
+    wb = [np.asarray(t, float) for t in fingerprint(lam, order).tensors]
 
-    def residuals(theta, r0):
-        h = r0 @ expm(_skew_from_params(theta, n))
+    def misfit(h):
         return np.concatenate([(rotate_tensor(h, ta) - tb).ravel()
                                for ta, tb in zip(wa, wb)])
 
-    def objective(theta, r0):
-        return float(np.linalg.norm(residuals(theta, r0)))
+    def residuals(theta, h0):
+        return misfit(h0 @ expm(_skew_from_params(theta, n)))
 
-    m = n * (n - 1) // 2
-    eye = np.eye(n)
-    refl = np.diag([-1.0] + [1.0] * (n - 1))
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-
-    def run(r):
-        r0 = eye if r % 2 == 0 else refl
-        if r < 2:
-            theta0 = np.zeros(m)
-        else:
-            rng = np.random.default_rng(seeds[r])
-            theta0 = rng.uniform(-math.pi, math.pi, size=m)
-        coarse, theta = _descend(objective, theta0, r0)
-        fit = least_squares(residuals, theta, args=(r0,), method="lm",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        return min(coarse, float(np.linalg.norm(fit.fun)))
-
-    threads = int(os.environ.get("HOMLIE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
-    return min(results)
+    eva, ua = np.linalg.eigh(_ricci(wa[0]))
+    _, ub = np.linalg.eigh(_ricci(wb[0]))
+    candidates = [np.eye(n)]
+    for b in _block_rotations(eva, restarts, seed):
+        for s in itertools.product((1.0, -1.0), repeat=n):
+            candidates.append(ub @ (np.array(s)[:, None] * b) @ ua.T)
+    values = [float(np.linalg.norm(misfit(h))) for h in candidates]
+    best = int(np.argmin(values))
+    fit = least_squares(residuals, np.zeros(n * (n - 1) // 2),
+                        args=(candidates[best],), method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return min(values[best], float(np.linalg.norm(fit.fun)))

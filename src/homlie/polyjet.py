@@ -91,18 +91,6 @@ class PolySpace:
             return arr
         return np.zeros(full)
 
-    def constant(self, value, exact=False):
-        out = self.zeros((), exact)
-        out[0] = Fraction(value) if exact else float(value)
-        return out
-
-    def variable(self, k, exact=False):
-        alpha = tuple(1 if i == k else 0 for i in range(self.nvars))
-        out = self.zeros((), exact)
-        one = Fraction(1) if exact else 1.0
-        out[self.index[alpha]] = one
-        return out
-
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a, b):
@@ -136,10 +124,6 @@ class PolySpace:
             out[..., self._diff_dst[k]] = a[..., src] * fac
         return out
 
-    def gradient(self, a):
-        """Stack of partials along a new leading axis."""
-        return np.stack([self.diff(a, k) for k in range(self.nvars)])
-
     # -- evaluation ----------------------------------------------------
 
     def value_at_zero(self, a):
@@ -168,13 +152,3 @@ class PolySpace:
         if a.dtype == object or mv.dtype == object:
             return (a * mv).sum(axis=-1)
         return a @ mv
-
-    def truncate(self, a, degree):
-        """Zero out all coefficients above the given total degree."""
-        a = np.asarray(a).copy()
-        mask = self.degrees > degree
-        if a.dtype == object:
-            a[..., mask] = Fraction(0)
-        else:
-            a[..., mask] = 0.0
-        return a

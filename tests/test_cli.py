@@ -91,6 +91,18 @@ def test_distance_dimension_mismatch(tmp_path, su2_file, capsys):
     assert "dimensions differ" in capsys.readouterr().err
 
 
+def test_distance_rejects_negative_restarts(su2_file, capsys):
+    assert main(["distance", su2_file, su2_file, "--restarts", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_rejects_entry_that_is_not_a_list(tmp_path, capsys):
+    path = tmp_path / "bad_entry.json"
+    path.write_text('{"q":0,"n":3,"entries":[5]}')
+    assert main(["check", str(path)]) == 1
+    assert "error: malformed entry 5" in capsys.readouterr().err
+
+
 def test_jet_json_output(h3_file, capsys):
     assert main(["jet", h3_file, "--degree", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -173,6 +185,13 @@ def test_flow_resume_needs_constants_metadata(su2_file, tmp_path, capsys):
                  "--output", plain]) == 0
     capsys.readouterr()
     assert main(["flow", plain, "--resume", "--t-end", "0.5"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_flow_resume_needs_trajectory_rows(tmp_path, capsys):
+    meta_only = tmp_path / "meta_only.csv"
+    meta_only.write_text("# q=0 n=3\n")
+    assert main(["flow", str(meta_only), "--resume", "--t-end", "0.5"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -168,6 +168,66 @@ def test_invariant_distance_is_deterministic():
     assert d1 == d2
 
 
+def test_invariant_distance_on_exact_bracket_matches_float():
+    d_exact = cu.invariant_distance(br.milnor_bracket(1, 1, 1),
+                                    br.milnor_bracket(1, 1, 2))
+    d_float = cu.invariant_distance(br.milnor_bracket(1.0, 1.0, 1.0),
+                                    br.milnor_bracket(1.0, 1.0, 2.0))
+    assert d_exact == pytest.approx(d_float, rel=1e-12)
+
+
+def test_invariant_distance_rejects_negative_restarts():
+    mu = br.milnor_bracket(1.0, 0.5, 0.25)
+    with pytest.raises(ValueError, match="restarts"):
+        cu.invariant_distance(mu, mu, restarts=-1)
+
+
+def milnor_plus_line(a, b, c):
+    """milnor_bracket(a, b, c) + R, a q = 0, n = 4 direct sum."""
+    m3 = br.milnor_bracket(a, b, c)
+    cc = np.zeros((4, 4, 4))
+    cc[:3, :3, :3] = m3.c
+    return br.Bracket(0, 4, cc)
+
+
+@pytest.mark.parametrize("frame", range(4))
+def test_invariant_distance_degenerate_spectrum_without_symmetry(frame):
+    # Ric has a three-fold zero eigenvalue, but no rotation of that
+    # eigenspace is a symmetry: only the block rotations find the match
+    mu = milnor_plus_line(1.0, 2.0, 3.0)
+    h = random_orthogonal(4, np.random.default_rng(100 + frame))
+    assert cu.invariant_distance(mu, br.gl_action(h, mu)) <= 1e-6
+
+
+def test_invariant_distance_degenerate_berger_pair():
+    mu = br.milnor_bracket(2.0, 1.0, 1.0)
+    h = random_orthogonal(3, np.random.default_rng(7))
+    assert cu.invariant_distance(mu, br.gl_action(h, mu)) <= 1e-6
+
+
+def test_invariant_distance_degenerate_circle3_pair():
+    mu = br.circle_isotropy3(1.0, 0.5, 1.5, 1.0)
+    h = np.eye(4)
+    h[1:, 1:] = random_orthogonal(3, np.random.default_rng(8))
+    assert cu.invariant_distance(mu, br.gl_action(h, mu)) <= 1e-6
+
+
+@pytest.mark.parametrize("abc, def_, pattern_search_value", [
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 0.5), 0.5994789404140815),
+    ((1.0, 0.6, 0.3), (0.9, 0.7, 0.2), 0.6377515190103424),
+])
+def test_invariant_distance_no_larger_than_pattern_search(abc, def_,
+                                                          pattern_search_value):
+    # pattern_search_value is what the former multi-start pattern search
+    # returned with default arguments.  On distinct spaces both methods
+    # give only an upper bound; on these pairs they agree to rounding.
+    mu, lam = br.milnor_bracket(*abc), br.milnor_bracket(*def_)
+    d = cu.invariant_distance(mu, lam)
+    assert d <= pattern_search_value * (1.0 + 1e-12)
+    start = cu.fingerprint(mu, 1).flat_vector() - cu.fingerprint(lam, 1).flat_vector()
+    assert d <= np.linalg.norm(start)
+
+
 # ---------------------------------------------------------------------------
 # scalar invariants
 # ---------------------------------------------------------------------------
