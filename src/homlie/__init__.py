@@ -50,7 +50,6 @@ from .curvature import (
     curvature_data,
     fingerprint,
     invariant_distance,
-    levi_civita,
     ricci_operator,
     riemann_origin,
     rotate_tensor,
@@ -110,7 +109,6 @@ __all__ = [
     "is_completely_solvable",
     "isometry_test",
     "jacobiator",
-    "levi_civita",
     "metric_jet",
     "milnor_bracket",
     "random_member",

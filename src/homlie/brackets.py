@@ -40,6 +40,7 @@ __all__ = [
     "bracket_norm",
     "jacobiator",
     "check_membership",
+    "require_member",
     "gl_action",
     "check_equivariant_conditions",
     "flat_degeneration",
@@ -104,6 +105,10 @@ class Bracket:
             c = c.astype(float)
         sym = c + np.swapaxes(c, 0, 1)
         if not np.all(sym == 0):
+            # a NaN or infinite entry always lands here (nan != 0,
+            # inf - inf = nan), so valid input pays nothing for this test
+            if c.dtype != object and not np.all(np.isfinite(c)):
+                raise ValueError("structure constants must be finite")
             raise ValueError("structure constants are not antisymmetric in the first two slots")
         c.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -128,9 +133,15 @@ class Bracket:
         """Structure constants as a writable float64 array (a copy)."""
         return np.array(self.c, dtype=float)
 
+    @property
+    def float_c(self):
+        """Structure constants as float64 for reading: c itself on a float
+        bracket (no copy), a float copy on an exact one."""
+        return self.as_float() if self.exact else self.c
+
     def apply(self, x, y):
         """Evaluate mu(x, y) for coordinate vectors x, y."""
-        c = self.as_float() if self.exact else self.c
+        c = self.float_c
         return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), c)
 
     def norm(self):
@@ -169,7 +180,7 @@ def bracket_norm(mu):
     ||mu||^2 = sum_{i,j,k} c[i,j,k]^2, the sum running over ordered
     index pairs, so each unordered bracket value is counted twice.
     """
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     return float(np.sqrt(np.sum(c * c)))
 
 
@@ -183,7 +194,7 @@ def jacobiator(mu):
 
     The bracket is a Lie bracket iff J vanishes identically.
     """
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     t = np.einsum("ijl,lkm->ijkm", c, c)
     return t + t.transpose((2, 0, 1, 3)) + t.transpose((1, 2, 0, 3))
 
@@ -252,7 +263,7 @@ def check_membership(mu, tol=None):
     if tol is None:
         tol = default_tolerance(mu)
     q, n = mu.q, mu.n
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     jac = float(np.max(np.abs(jacobiator(mu)))) if mu.dim > 0 else 0.0
 
     # mu(R^q, R^q) subset R^q and mu(R^q, R^n) subset R^n
@@ -281,6 +292,13 @@ def check_membership(mu, tol=None):
     return MembershipReport(q, n, float(tol), jac, sub, _h2_status(mu), h3, h4_dim)
 
 
+def require_member(mu):
+    """Raise ValueError unless mu passes check_membership."""
+    report = check_membership(mu)
+    if not report.passed:
+        raise ValueError(f"bracket fails the membership check: {report!r}")
+
+
 def gl_action(h, mu):
     """Change of basis (h.mu)(x, y) = h mu(h^-1 x, h^-1 y).
 
@@ -295,7 +313,7 @@ def gl_action(h, mu):
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(f"h is numerically singular (condition number {cond:.3e})")
     hinv = np.linalg.inv(h)
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     new_c = np.einsum("kl,abl,ai,bj->ijk", h, c, hinv, hinv, optimize=True)
     # Re-symmetrize to kill roundoff asymmetry from the two inverse factors.
     new_c = 0.5 * (new_c - np.swapaxes(new_c, 0, 1))
@@ -328,7 +346,7 @@ def check_equivariant_conditions(h, mu, tol=None):
     hq = h[:q, :q]
     a = h[:q, q:]
     hn = h[q:, q:]
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     g = hn.T @ hn
     hq_inv = np.linalg.inv(hq)
     cond_a = True
@@ -568,7 +586,7 @@ def random_member(q, n, rng=None, seed=0):
 
 def bracket_to_dict(mu):
     """JSON-ready dict with sparse upper-triangular entries."""
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     entries = []
     dim = mu.dim
     for i in range(dim):
@@ -591,7 +609,9 @@ def bracket_from_dict(data):
         q = int(data["q"])
         n = int(data["n"])
         entries = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed bracket document: missing key {exc}") from exc
+    except TypeError as exc:
         raise ValueError(f"malformed bracket document: {exc}") from exc
     dim = q + n
     c = np.zeros((dim, dim, dim))

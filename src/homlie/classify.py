@@ -60,7 +60,7 @@ def commutant(mu, cutoff=1e-10):
     q, n = mu.q, mu.n
     if q < 1:
         raise ValueError("commutant needs at least one isotropy direction")
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     eye = np.eye(n)
     rows = []
     for z in range(q):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .brackets import bracket_norm, check_membership
+from .brackets import bracket_norm, require_member
 from .polyjet import PolySpace
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 
 def ad_matrix(mu, x):
     """Matrix of ad(x) = mu(x, .) on R^(q+n)."""
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     return np.einsum("k,kvu->uv", np.asarray(x, float), c)
 
 
@@ -117,9 +117,7 @@ def metric_jet(mu, degree):
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    report = check_membership(mu)
-    if not report.passed:
-        raise ValueError(f"bracket fails the membership check: {report!r}")
+    require_member(mu)
     q, n, dim = mu.q, mu.n, mu.dim
     exact = mu.exact
     space = PolySpace(n, degree)
@@ -331,7 +329,7 @@ def is_completely_solvable(mu, seed=0, samples=64):
     if mu.q != 0:
         raise ValueError("complete solvability test applies to q = 0 only")
     dim = mu.dim
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     ads = np.array([c[i].T for i in range(dim)])
 
     # nilpotency via the lower central series

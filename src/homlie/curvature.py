@@ -24,21 +24,20 @@ from the metric Taylor expansion alone and is used as an independent
 cross-check; the two paths agree at the origin because the coordinate
 frame is orthonormal there.
 
-The operator returned by levi_civita is the related coefficient family
-
-    <L(e_r) e_j, e_i> = 1/2 (mu_rj^i + mu_ri^j + mu_ji^r),
-
-which differs from D by the sign of the symmetric correction; it is the
-form in which connection coefficients are usually tabulated for these
-spaces and reduces to 1/2 mu(x, y) in the bi-invariant case.  The
-curvature formula above is stated for D, not L; substituting L gives
-wrong curvature (nonzero on flat brackets).
-
 Fingerprints
 ------------
 The fingerprint of order K stacks Riem, nabla Riem, ..., nabla^K Riem
-at the base point as tensors on R^n.  Rotating the bracket by h in O(n)
-rotates every tensor entry, so the orbit distance
+at the base point as tensors on R^n.  The space is reductive (by (h1),
+R^n is ad(R^q)-invariant), so every invariant tensor T obeys Nomizu's
+formula (Amer. J. Math. 76, 1954)
+
+    (nabla_x T)(y_1, ..., y_k) = - sum_s T(y_1, ..., D(x) y_s, ..., y_k),
+
+and each order is D applied as a derivation to the one before.  Exact
+brackets stay exact: D, Riem and every derivative hold Fractions.
+
+Rotating the bracket by h in O(n) rotates every tensor entry, so the
+orbit distance
 
     d(mu, lam) = min_{h in O(n)} || h . w_mu - w_lam ||
 
@@ -51,17 +50,15 @@ repeated eigenspaces) followed by one least-squares polish.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .brackets import bracket_norm
-from .coordinates import curvature_derivatives, metric_jet
+from .brackets import require_member
 
 __all__ = [
-    "LeviCivitaMap",
-    "levi_civita",
     "riemann_origin",
     "ricci_operator",
     "scalar_invariants",
@@ -74,48 +71,15 @@ __all__ = [
 ]
 
 
-class LeviCivitaMap:
-    """Connection coefficient family x -> L(x), L(x) an n x n matrix.
-
-    coefficients[r, i, j] = <L(e_r) e_j, e_i>; calling with a tangent
-    vector contracts the first axis.
-    """
-
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
-
-    def __call__(self, x):
-        return np.einsum("r,rij->ij", np.asarray(x, float), self.coefficients)
-
-
-def _tangent_block(mu):
-    c = mu.as_float() if mu.exact else mu.c
-    q = mu.q
-    return c, c[q:, q:, q:]
-
-
-def levi_civita(mu):
-    """Tabulated connection coefficients (see module docstring)."""
-    _, ct = _tangent_block(mu)
-    coeff = 0.5 * (np.transpose(ct, (0, 2, 1)) + ct + np.transpose(ct, (2, 1, 0)))
-    # coeff[r, i, j] = 1/2 (mu_rj^i + mu_ri^j + mu_ji^r)
-    return LeviCivitaMap(coeff)
-
-
-def _koszul(ct):
+def _koszul(ct, half):
     """d[r, i, j] = <D(e_r) e_j, e_i> = 1/2 (mu_rj^i - mu_ri^j - mu_ji^r)."""
-    return 0.5 * (np.transpose(ct, (0, 2, 1)) - ct - np.transpose(ct, (2, 1, 0)))
+    return half * (np.transpose(ct, (0, 2, 1)) - ct - np.transpose(ct, (2, 1, 0)))
 
 
-def riemann_origin(mu):
-    """Curvature tensor at the base point, algebraic path.
-
-    Returns Riem with shape (n, n, n, n), Riem[i, j, k, l] =
-    <R(e_i, e_j) e_k, e_l> in the conventions of the module docstring.
-    """
-    c, ct = _tangent_block(mu)
-    q, n = mu.q, mu.n
-    d = _koszul(ct)
+def _riemann(c, q, half):
+    """(Riem, D) from structure constants c, in the arithmetic of c."""
+    ct = c[q:, q:, q:]
+    d = _koszul(ct, half)
     comm = np.einsum("iab,jbc->ijac", d, d) - np.einsum("jab,ibc->ijac", d, d)
     mp = np.einsum("ijr,rac->ijac", ct, d)
     rop = comm - mp
@@ -123,8 +87,17 @@ def riemann_origin(mu):
         ck = c[q:, q:, :q]                                  # isotropy components
         adz = np.transpose(c[:q, q:, q:], (0, 2, 1))        # adz[z, a, c]
         rop = rop - np.einsum("ijz,zac->ijac", ck, adz)
-    riem = np.transpose(rop, (0, 1, 3, 2))
-    return riem
+    return np.transpose(rop, (0, 1, 3, 2)), d
+
+
+def riemann_origin(mu):
+    """Curvature tensor at the base point, algebraic path.
+
+    Returns Riem with shape (n, n, n, n), Riem[i, j, k, l] =
+    <R(e_i, e_j) e_k, e_l> in the conventions of the module docstring,
+    as float64 also for exact brackets.
+    """
+    return _riemann(mu.float_c, mu.q, 0.5)[0]
 
 
 def _ricci(riem):
@@ -187,9 +160,10 @@ def curvature_data(mu):
 class Fingerprint:
     """Stacked covariant derivatives of the curvature at the base point.
 
-    tensors[k] has rank 4 + k on R^n; entry 0 is the algebraic curvature
-    tensor, entries >= 1 come from the coordinate series.  Derivative
-    indices are prepended in application order.
+    tensors[k] has rank 4 + k on R^n: entry 0 is the algebraic curvature
+    tensor, entry k >= 1 is Nomizu's derivation D applied k times (see
+    the module docstring).  Derivative indices are prepended in
+    application order.  Exact brackets give Fraction entries throughout.
     """
 
     def __init__(self, n, order, tensors):
@@ -212,14 +186,29 @@ class Fingerprint:
         }
 
 
+def _derive(d, t):
+    """nabla T by Nomizu's formula, the new index first:
+
+        out[m, i_1, ..., i_k] = - sum_s sum_a d[m, a, i_s] T[i_1, ..., a, ..., i_k]
+
+    with a in slot s.
+    """
+    out = 0
+    for s in range(t.ndim):
+        term = np.einsum("mab,a...->mb...", d, np.moveaxis(t, s, 0))
+        out = out - np.moveaxis(term, 1, s + 1)
+    return out
+
+
 def fingerprint(mu, order=2):
-    """Fingerprint of the given order (entry 0 algebraic, rest series)."""
+    """Fingerprint of the given order; raises ValueError on a non-member."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    tensors = [riemann_origin(mu)]
-    if order > 0:
-        jet = metric_jet(mu, order + 2)
-        tensors.extend(curvature_derivatives(jet, order)[1:])
+    require_member(mu)
+    riem, d = _riemann(mu.c, mu.q, Fraction(1, 2) if mu.exact else 0.5)
+    tensors = [riem]
+    for _ in range(order):
+        tensors.append(_derive(d, tensors[-1]))
     return Fingerprint(mu.n, order, tensors)
 
 

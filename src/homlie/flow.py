@@ -21,7 +21,7 @@ without changing their direction field.
 
 import numpy as np
 
-from .brackets import Bracket, bracket_norm, check_membership
+from .brackets import Bracket, require_member
 from .curvature import ricci_operator
 
 __all__ = [
@@ -58,14 +58,8 @@ def _flow_matrix(mu):
     return d
 
 
-def _require_member(mu):
-    rep = check_membership(mu)
-    if not rep.passed:
-        raise ValueError(f"bracket fails the membership check: {rep!r}")
-
-
 def _rhs(mu):
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     d = _flow_matrix(mu)
     rhs = (np.einsum("ai,ajk->ijk", d, c)
            + np.einsum("bj,ibk->ijk", d, c)
@@ -79,7 +73,7 @@ def bracket_flow_rhs(mu):
 
     Requires a membership-passing bracket; raises ValueError otherwise.
     """
-    _require_member(mu)
+    require_member(mu)
     return _rhs(mu)
 
 
@@ -92,8 +86,8 @@ def soliton_residual(mu):
     stationary up to reparameterization).  Requires a nonzero member
     bracket; the residual of the zero bracket is undefined (0/0).
     """
-    _require_member(mu)
-    c = mu.as_float() if mu.exact else mu.c
+    require_member(mu)
+    c = mu.float_c
     nrm2 = float(np.sum(c * c))
     if nrm2 == 0.0:
         raise ValueError("soliton residual is undefined for the zero bracket")
@@ -164,7 +158,7 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    _require_member(mu0)
+    require_member(mu0)
     q, n = mu0.q, mu0.n
     dim = mu0.dim
     shape = (dim, dim, dim)

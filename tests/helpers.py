@@ -35,7 +35,7 @@ def lauret_ricci(mu):
     """
     assert mu.q == 0
     n = mu.n
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     m = np.zeros((n, n))
     for x in range(n):
         for y in range(n):
@@ -97,7 +97,7 @@ def degree2_jet_closed_form(mu):
 
 def jacobiator_loops(mu):
     """Jacobi cyclic sum via explicit python loops (no einsum)."""
-    c = mu.as_float() if mu.exact else mu.c
+    c = mu.float_c
     d = mu.dim
     out = np.zeros((d, d, d, d))
     for i in range(d):

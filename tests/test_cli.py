@@ -103,6 +103,20 @@ def test_check_rejects_entry_that_is_not_a_list(tmp_path, capsys):
     assert "error: malformed entry 5" in capsys.readouterr().err
 
 
+def test_check_rejects_non_finite_constant(tmp_path, capsys):
+    path = tmp_path / "nan_entry.json"
+    path.write_text('{"q":0,"n":3,"entries":[[1,2,0,NaN],[0,2,1,-1],[0,1,2,1]]}')
+    assert main(["check", str(path)]) == 1
+    assert "error: structure constants must be finite" in capsys.readouterr().err
+
+
+def test_check_names_missing_entries_key(tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    path.write_text('{"q":0,"n":1,"c":[[[0]]]}')
+    assert main(["check", str(path)]) == 1
+    assert "error: malformed bracket document: missing key 'entries'" in capsys.readouterr().err
+
+
 def test_jet_json_output(h3_file, capsys):
     assert main(["jet", h3_file, "--degree", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import homlie.brackets as br
 import homlie.curvature as cu
-from homlie.coordinates import coordinate_curvature_oracle, metric_jet
+from homlie.coordinates import (coordinate_curvature_oracle,
+                                curvature_derivatives, metric_jet)
 from helpers import exact_bracket, lauret_ricci, milnor_ricci_eigenvalues, \
     random_orthogonal
 
@@ -96,15 +97,28 @@ def test_series_path_agrees_with_algebraic_path(mu):
     assert np.max(np.abs(riem_alg - riem_ser)) / scale <= 1e-12
 
 
-def test_connection_coefficients():
-    # bi-invariant case: L(x) y = 1/2 mu(x, y)
-    mu = br.milnor_bracket(1.0, 1.0, 1.0)
-    lc = cu.levi_civita(mu)
-    x = np.array([0.4, -1.0, 0.2])
-    y = np.array([1.0, 0.5, -0.3])
-    assert np.allclose(lc(x) @ y, 0.5 * mu.apply(x, y), atol=1e-14)
-    flat = br.milnor_bracket(0.0, 0.0, 0.0)
-    assert np.max(np.abs(cu.levi_civita(flat).coefficients)) == 0.0
+@pytest.mark.parametrize("mu, order", [
+    (br.milnor_bracket(1.0, 2.0, 3.0), 2),
+    (br.random_member(0, 4, seed=0), 2),
+    (br.circle_isotropy3(0.8, -0.3, 1.1, 0.7), 2),
+    (br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0), 1),
+], ids=["milnor", "random_q0_n4", "circle3", "circle5"])
+def test_fingerprint_agrees_with_series_path(mu, order):
+    # Nomizu's derivation formula against Christoffel calculus on the
+    # metric Taylor series; this is what keeps the series path checked
+    fp = cu.fingerprint(mu, order)
+    series = curvature_derivatives(metric_jet(mu, order + 2), order)
+    for alg, ser in zip(fp.tensors, series):
+        assert np.max(np.abs(alg - ser)) <= 1e-10 * np.max(np.abs(ser))
+
+
+def test_exact_fingerprint_equals_exact_series_path():
+    mu = br.milnor_bracket(1, 2, 3)
+    fp = cu.fingerprint(mu, 1)
+    series = curvature_derivatives(metric_jet(mu, 3), 1)
+    for alg, ser in zip(fp.tensors, series):
+        assert alg.shape == ser.shape
+        assert all(a == b for a, b in zip(alg.ravel(), ser.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +136,23 @@ def test_fingerprint_layout():
     assert fp.flat_vector().size == 81 + 243 + 729
     with pytest.raises(ValueError):
         cu.fingerprint(mu, order=-1)
+
+
+def test_exact_fingerprint_is_all_fractions():
+    fp = cu.fingerprint(br.milnor_bracket(1, 2, 3), 2)
+    assert [t.ndim for t in fp.tensors] == [4, 5, 6]
+    for t in fp.tensors:
+        assert all(type(v) is Fraction for v in t.ravel())
+    assert np.array_equal(np.array(fp.tensors[0], dtype=float),
+                          cu.riemann_origin(br.milnor_bracket(1.0, 2.0, 3.0)))
+
+
+def test_fingerprint_rejects_nonmember():
+    # mu(e0, e1) = e1, mu(e0, e2) = e0, mu(e1, e2) = e1 fails Jacobi
+    mu = br.Bracket.from_entries(0, 3, [(0, 1, 1, 1.0), (0, 2, 0, 1.0), (1, 2, 1, 1.0)])
+    assert not br.check_membership(mu).passed
+    with pytest.raises(ValueError, match="membership"):
+        cu.fingerprint(mu, 1)
 
 
 def test_rotate_tensor_equivariance():
