@@ -585,16 +585,20 @@ def random_member(q, n, rng=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def bracket_to_dict(mu):
-    """JSON-ready dict with sparse upper-triangular entries."""
-    c = mu.float_c
+    """JSON-ready dict with sparse upper-triangular entries.
+
+    Exact constants are written as "p/q" strings, so that the document
+    reads back as the same exact bracket; float constants as numbers.
+    """
+    c = mu.c
     entries = []
     dim = mu.dim
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(dim):
                 v = c[i, j, k]
-                if v != 0.0:
-                    entries.append([i, j, k, float(v)])
+                if v != 0:
+                    entries.append([i, j, k, str(Fraction(v)) if mu.exact else float(v)])
     out = {"q": mu.q, "n": mu.n, "entries": entries}
     if mu.family is not None:
         out["family"] = mu.family
@@ -604,34 +608,90 @@ def bracket_to_dict(mu):
     return out
 
 
+# Largest q + n a bracket document may declare.  The membership check
+# builds the dim^4 Jacobi tensor, 8 MB at this size; the largest family
+# here (Aloff-Wallach) has q + n = 8.
+MAX_DIM = 32
+
+# Largest ||mu||^2 a bracket document may carry.  The Jacobi residual is
+# at most 3 ||mu||^2 and the curvature a small multiple of it, so this
+# leaves a factor of 1e8 before any of them overflows a float.
+MAX_NORM_SQ = 1e300
+
+
 def bracket_from_dict(data):
+    """Bracket from a document {"q", "n", "entries": [[i, j, k, value], ...]}.
+
+    A value may be a number or a string parsed by Fraction ("1/2",
+    "-3", "0.25").  When every value is a string the bracket is exact,
+    otherwise it is float.  q + n and ||mu||^2 (at most MAX_DIM and
+    MAX_NORM_SQ) are checked before the dense array is allocated.
+    """
     try:
         q = int(data["q"])
         n = int(data["n"])
         entries = data["entries"]
     except KeyError as exc:
         raise ValueError(f"malformed bracket document: missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed bracket document: {exc}") from exc
+    if q < 0 or n < 1:
+        raise ValueError(f"need q >= 0 and n >= 1, got q = {q}, n = {n}")
     dim = q + n
-    c = np.zeros((dim, dim, dim))
+    if dim > MAX_DIM:
+        raise ValueError(f"q + n = {dim} exceeds the largest supported dimension {MAX_DIM}")
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"malformed bracket document: entries is not a list: {entries!r}")
+    params = data.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"malformed bracket document: params is not an object: {params!r}")
+    exact = len(entries) > 0 and all(
+        isinstance(ent, (list, tuple)) and len(ent) == 4 and isinstance(ent[3], str)
+        for ent in entries)
+    values = {}
     for ent in entries:
         try:
             i, j, k, v = ent
-            i, j, k, v = int(i), int(j), int(k), float(v)
-        except (TypeError, ValueError) as exc:
+            key = int(i), int(j), int(k)
+            v = Fraction(v) if isinstance(v, str) else v
+            v = v if exact else float(v)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed entry {ent!r}: expected [i, j, k, value]") from exc
-        if not (0 <= i < j < dim and 0 <= k < dim):
-            raise ValueError(f"entry indices out of range in {ent!r}")
-        c[i, j, k] += v
-        c[j, i, k] -= v
-    return Bracket(q, n, c, family=data.get("family"), params=data.get("params"))
+        values[key] = values.get(key, 0) + v
+    if not exact and not all(map(math.isfinite, values.values())):
+        raise ValueError("structure constants must be finite")
+    if not 2 * sum(v * v for v in values.values()) <= MAX_NORM_SQ:
+        raise ValueError(f"entries too large: ||mu||^2 exceeds {MAX_NORM_SQ:g}")
+    return Bracket.from_entries(q, n, [key + (v,) for key, v in values.items()],
+                                family=data.get("family"), params=params)
+
+
+def common_denominator(values):
+    """Least common multiple of the denominators of exact values (1 for none)."""
+    return math.lcm(*(Fraction(v).denominator for v in np.ravel(values)))
+
+
+_to_int = np.frompyfunc(int, 1, 1)
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def to_integers(values, scale):
+    """values * scale as Python ints in an object array.
+
+    scale is an int, or ints broadcasting against values, that makes
+    every product integral; the exact engines run on these integers.
+    """
+    return _to_int(values * scale)
+
+
+def from_integers(ints, scale):
+    """Fractions ints / scale in an object array, the inverse of to_integers."""
+    return _fraction(ints, scale)
 
 
 def write_bracket(path, mu):
-    """Write a bracket as a JSON text document (round-trips doubles)."""
+    """Write a bracket as a JSON text document (round-trips doubles and
+    exact fractions)."""
     with open(path, "w") as fh:
         json.dump(bracket_to_dict(mu), fh, indent=1)
         fh.write("\n")

@@ -24,11 +24,11 @@ determines nabla^k Riem at the origin exactly for k <= D - 2.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .brackets import bracket_norm, require_member
+from .brackets import (bracket_norm, common_denominator, from_integers,
+                       require_member, to_integers)
 from .polyjet import PolySpace
 
 __all__ = [
@@ -73,8 +73,9 @@ class MetricJet:
 
     Fields: q, n, degree, space (the PolySpace over n variables), and g,
     an array of shape (n, n, space.size) holding the coefficient vector
-    of every metric entry.  g is symmetric in the first two axes and
-    g(0) is the identity.
+    of every metric entry: float64, or Fractions on an exact jet.  g is
+    symmetric in the first two axes and g(0) is the identity.  to_dict
+    writes exact coefficients as "p/q" strings.
     """
 
     def __init__(self, q, n, degree, space, g):
@@ -103,17 +104,23 @@ class MetricJet:
                 for idx, alpha in enumerate(self.space.monomials):
                     v = self.g[i, j, idx]
                     if v != 0:
-                        entries.append([i, j, list(alpha), float(v)])
+                        entries.append([i, j, list(alpha),
+                                        str(v) if self.exact else float(v)])
         return {"q": self.q, "n": self.n, "degree": self.degree, "entries": entries}
 
 
 def metric_jet(mu, degree):
     """Taylor coefficients of the coordinate metric up to a total degree.
 
-    Exact Fraction arithmetic is used when the bracket stores exact
-    constants, float64 otherwise.  Only the splitting and the structure
-    constants enter; the purely isotropy-isotropy part of the bracket
-    does not affect the result.
+    Exact brackets give Fraction coefficients, float brackets float64.
+    Only the splitting and the structure constants enter; the purely
+    isotropy-isotropy part of the bracket does not affect the result.
+
+    The exact path runs the float statements on Python ints.  The
+    bracket N mu has the chart metric g(N x), so its degree-d
+    coefficients are N^d g_d.  With L the common denominator of the
+    constants and N = L (degree+1)!, every B_alpha below is an integer
+    matrix, and g_d = G_d / N^d is divided out once at the end.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -122,28 +129,23 @@ def metric_jet(mu, degree):
     exact = mu.exact
     space = PolySpace(n, degree)
     c = mu.c
-
-    # ad(e_{q+k}) as (q+n) x (q+n) matrices; exact path keeps Fractions
     if exact:
-        ads = np.empty((n, dim, dim), dtype=object)
-        for k in range(n):
-            for u in range(dim):
-                for v in range(dim):
-                    ads[k, u, v] = Fraction(c[q + k, v, u])
+        lcm = common_denominator(c)
+        c = to_integers(c, lcm)
+        f = math.factorial(degree + 1)
+        scale = np.array([(-1) ** m * f ** m // math.factorial(m + 1)
+                          for m in space.degrees.tolist()], dtype=object)
     else:
-        ads = np.array([c[q + k].T for k in range(n)])
+        scale = np.array([(-1.0) ** m / math.factorial(m + 1) for m in space.degrees])
+
+    # ad(e_{q+k}) as (q+n) x (q+n) matrices
+    ads = np.array([c[q + k].T for k in range(n)])
 
     # W recursion over monomials: W_alpha = sum_k W_{alpha - e_k} ad_k,
     # so W_alpha is the sum of all |alpha|-letter matrix words with
     # letter multiset alpha.  B_alpha = (-1)^m / (m+1)! W_alpha.
-    if exact:
-        w = np.empty((space.size, dim, dim), dtype=object)
-        w[...] = Fraction(0)
-        for u in range(dim):
-            w[0, u, u] = Fraction(1)
-    else:
-        w = np.zeros((space.size, dim, dim))
-        w[0] = np.eye(dim)
+    w = np.zeros((space.size, dim, dim), dtype=c.dtype)
+    w[0] = np.eye(dim, dtype=c.dtype)
     for idx, alpha in enumerate(space.monomials):
         m = sum(alpha)
         if m == 0:
@@ -158,28 +160,17 @@ def metric_jet(mu, degree):
             term = np.dot(prev, ads[k])
             acc = term if acc is None else acc + term
         w[idx] = acc
-
-    if exact:
-        b = np.empty_like(w)
-        for idx in range(space.size):
-            m = int(space.degrees[idx])
-            b[idx] = w[idx] * Fraction((-1) ** m, math.factorial(m + 1))
-    else:
-        scale = np.array([(-1.0) ** m / math.factorial(m + 1) for m in space.degrees])
-        b = w * scale[:, None, None]
+    b = w * scale[:, None, None]
 
     # tangent block of B and the convolution g = P^T P
     p = b[:, q:, q:]
     i1, i2, it = space._mul_i1, space._mul_i2, space._mul_it
+    acc = np.zeros((space.size, n, n), dtype=c.dtype)
+    prod = np.einsum("pki,pkj->pij", p[i1], p[i2])
+    np.add.at(acc, it, prod)
+    g = np.moveaxis(acc, 0, -1)
     if exact:
-        g = space.zeros((n, n), exact)
-        for s, t, u in zip(i1, i2, it):
-            g[:, :, u] = g[:, :, u] + np.dot(p[s].T, p[t])
-    else:
-        acc = np.zeros((space.size, n, n))
-        prod = np.einsum("pki,pkj->pij", p[i1], p[i2])
-        np.add.at(acc, it, prod)
-        g = np.moveaxis(acc, 0, -1)
+        g = from_integers(g, (lcm * f) ** space.degrees.astype(object))
     return MetricJet(q, n, degree, space, g)
 
 
@@ -192,12 +183,10 @@ def _christoffel(space, g):
     """
     n = space.nvars
     exact = g.dtype == object
-    half = Fraction(1, 2) if exact else 0.5
 
     eye = space.zeros((n, n), exact)
-    one = Fraction(1) if exact else 1.0
     for i in range(n):
-        eye[i, i, 0] = one
+        eye[i, i, 0] = 1
     h = g - eye
     ginv = eye.copy()
     term = eye.copy()
@@ -213,7 +202,8 @@ def _christoffel(space, g):
     for k in range(n):
         for l in range(n):
             gam[k] = gam[k] + space.mul(ginv[k, l][None, None, :], cc[l])
-    return half * gam, ginv
+    # exact callers scale g so that cc is even (see curvature_derivatives)
+    return (gam // 2 if exact else 0.5 * gam), ginv
 
 
 def _riemann_poly(space, g, gam):
@@ -264,6 +254,12 @@ def curvature_derivatives(jet, order):
     Entry k has rank 4 + k with the derivative indices prepended in
     application order: entry 2 is (nabla_m2 nabla_m1 Riem)_{i j k l}
     indexed [m2, m1, i, j, k, l].  Requires jet.degree >= order + 2.
+
+    Exact jets give Fraction tensors, computed in Python ints: with L
+    the common denominator of g and N = 2L, the metric g(N x) has the
+    integer coefficients G_d = N^d g_d, all even for d >= 1, so its
+    Christoffel symbols are integer too.  Its entry k is N^(2+k) times
+    the one of g, and is divided out once at the end.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -272,15 +268,19 @@ def curvature_derivatives(jet, order):
             f"jet of degree {jet.degree} cannot determine order-{order} "
             f"derivatives; need degree >= {order + 2}")
     space = jet.space
-    gam, _ = _christoffel(space, jet.g)
-    riem = _riemann_poly(space, jet.g, gam)
+    g = jet.g
+    if jet.exact:
+        scale = 2 * common_denominator(g)
+        g = to_integers(g, scale ** space.degrees.astype(object))
+    gam, _ = _christoffel(space, g)
+    riem = _riemann_poly(space, g, gam)
     out = [space.value_at_zero(riem)]
     t = riem
     for _ in range(order):
         t = _covariant_derivative(space, gam, t)
         out.append(space.value_at_zero(t))
     if jet.exact:
-        return out
+        return [from_integers(a, scale ** (2 + k)) for k, a in enumerate(out)]
     return [np.asarray(a, dtype=float) for a in out]
 
 

@@ -34,7 +34,9 @@ formula (Amer. J. Math. 76, 1954)
     (nabla_x T)(y_1, ..., y_k) = - sum_s T(y_1, ..., D(x) y_s, ..., y_k),
 
 and each order is D applied as a derivation to the one before.  Exact
-brackets stay exact: D, Riem and every derivative hold Fractions.
+brackets stay exact: their constants are scaled to even integers, D,
+Riem and every derivative are computed in Python ints, and each order
+is divided back to Fractions once, at the end.
 
 Rotating the bracket by h in O(n) rotates every tensor entry, so the
 orbit distance
@@ -50,13 +52,12 @@ repeated eigenspaces) followed by one least-squares polish.
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .brackets import require_member
+from .brackets import common_denominator, from_integers, require_member, to_integers
 
 __all__ = [
     "riemann_origin",
@@ -71,15 +72,20 @@ __all__ = [
 ]
 
 
-def _koszul(ct, half):
-    """d[r, i, j] = <D(e_r) e_j, e_i> = 1/2 (mu_rj^i - mu_ri^j - mu_ji^r)."""
-    return half * (np.transpose(ct, (0, 2, 1)) - ct - np.transpose(ct, (2, 1, 0)))
+def _koszul(ct):
+    """d[r, i, j] = <D(e_r) e_j, e_i> = 1/2 (mu_rj^i - mu_ri^j - mu_ji^r).
+
+    On an object array the constants must be even integers, and the
+    halving is exact integer division.
+    """
+    s = np.transpose(ct, (0, 2, 1)) - ct - np.transpose(ct, (2, 1, 0))
+    return s // 2 if ct.dtype == object else 0.5 * s
 
 
-def _riemann(c, q, half):
+def _riemann(c, q):
     """(Riem, D) from structure constants c, in the arithmetic of c."""
     ct = c[q:, q:, q:]
-    d = _koszul(ct, half)
+    d = _koszul(ct)
     comm = np.einsum("iab,jbc->ijac", d, d) - np.einsum("jab,ibc->ijac", d, d)
     mp = np.einsum("ijr,rac->ijac", ct, d)
     rop = comm - mp
@@ -97,7 +103,7 @@ def riemann_origin(mu):
     <R(e_i, e_j) e_k, e_l> in the conventions of the module docstring,
     as float64 also for exact brackets.
     """
-    return _riemann(mu.float_c, mu.q, 0.5)[0]
+    return _riemann(mu.float_c, mu.q)[0]
 
 
 def _ricci(riem):
@@ -163,7 +169,8 @@ class Fingerprint:
     tensors[k] has rank 4 + k on R^n: entry 0 is the algebraic curvature
     tensor, entry k >= 1 is Nomizu's derivation D applied k times (see
     the module docstring).  Derivative indices are prepended in
-    application order.  Exact brackets give Fraction entries throughout.
+    application order.  Exact brackets give Fraction entries throughout,
+    computed in integers and divided once (see fingerprint).
     """
 
     def __init__(self, n, order, tensors):
@@ -201,14 +208,27 @@ def _derive(d, t):
 
 
 def fingerprint(mu, order=2):
-    """Fingerprint of the given order; raises ValueError on a non-member."""
+    """Fingerprint of the given order; raises ValueError on a non-member.
+
+    Exact brackets are computed in Python ints.  D is linear in the
+    constants and Riem quadratic, so order k scales by s^(2+k) when the
+    constants do by s.  With s = 2L, L their common denominator, the
+    scaled constants are even integers, D and every order are integer,
+    and order k is divided by s^(2+k) once at the end.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     require_member(mu)
-    riem, d = _riemann(mu.c, mu.q, Fraction(1, 2) if mu.exact else 0.5)
+    c = mu.c
+    if mu.exact:
+        scale = 2 * common_denominator(c)
+        c = to_integers(c, scale)
+    riem, d = _riemann(c, mu.q)
     tensors = [riem]
     for _ in range(order):
         tensors.append(_derive(d, tensors[-1]))
+    if mu.exact:
+        tensors = [from_integers(t, scale ** (2 + k)) for k, t in enumerate(tensors)]
     return Fingerprint(mu.n, order, tensors)
 
 

@@ -8,9 +8,11 @@ tuples.  Index 0 is always the constant term.
 
 Leading axes are free, so a matrix of polynomials is simply an array of
 shape (n, n, size); all operations broadcast over leading axes.  Both
-float64 and object (Fraction) coefficients are supported; products of
-object arrays go through an explicit loop, float products through a
-precomputed index table and np.add.at.
+float64 and object (Python int or Fraction) coefficients are supported,
+through one code path: products go through a precomputed index table
+and np.add.at whatever the dtype.  The exact callers in the coordinates
+module scale their jets to integers first, so object arithmetic runs on
+Python ints and never normalises a Fraction.
 
 Truncation is degree-exact: multiplying two truncated polynomials gives
 coefficients that agree with the untruncated product in every degree
@@ -84,12 +86,8 @@ class PolySpace:
     # -- constructors -------------------------------------------------
 
     def zeros(self, shape=(), exact=False):
-        full = tuple(shape) + (self.size,)
-        if exact:
-            arr = np.empty(full, dtype=object)
-            arr[...] = Fraction(0)
-            return arr
-        return np.zeros(full)
+        """Zero coefficients: float64, or Python int 0 in an object array."""
+        return np.zeros(tuple(shape) + (self.size,), dtype=object if exact else float)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -100,12 +98,8 @@ class PolySpace:
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
         exact = a.dtype == object or b.dtype == object
         out = self.zeros(lead, exact)
-        if exact:
-            for s, t, u in zip(self._mul_i1, self._mul_i2, self._mul_it):
-                out[..., u] = out[..., u] + a[..., s] * b[..., t]
-        else:
-            prod = a[..., self._mul_i1] * b[..., self._mul_i2]
-            np.add.at(out, (Ellipsis, self._mul_it), prod)
+        prod = a[..., self._mul_i1] * b[..., self._mul_i2]
+        np.add.at(out, (Ellipsis, self._mul_it), prod)
         return out
 
     def matmul(self, a, b):
@@ -118,10 +112,7 @@ class PolySpace:
         out = self.zeros(a.shape[:-1], a.dtype == object)
         src = self._diff_src[k]
         if src.size:
-            fac = self._diff_fac[k]
-            if a.dtype == object:
-                fac = np.array([Fraction(int(f)) for f in fac], dtype=object)
-            out[..., self._diff_dst[k]] = a[..., src] * fac
+            out[..., self._diff_dst[k]] = a[..., src] * self._diff_fac[k]
         return out
 
     # -- evaluation ----------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +249,57 @@ def test_json_file_is_sparse_entries(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["q"] == 0 and doc["n"] == 3
     assert doc["entries"] == [[1, 2, 0, 1.0]]
+
+
+def test_json_round_trip_exact(tmp_path):
+    for mu in (br.milnor_bracket(Fraction(1, 2), -3, Fraction(2, 7)),
+               br.circle_isotropy3(Fraction(-3, 4), 0, Fraction(5, 9), 2)):
+        path = tmp_path / "exact.json"
+        br.write_bracket(path, mu)
+        doc = json.loads(path.read_text())
+        assert all(isinstance(e[3], str) for e in doc["entries"])
+        back = br.read_bracket(path)
+        assert back.exact and back.family == mu.family
+        assert all(type(v) is Fraction and v == w for v, w in zip(back.c.ravel(), mu.c.ravel()))
+
+
+def test_bracket_from_dict_parses_fraction_strings():
+    exact = br.bracket_from_dict({"q": 0, "n": 3, "entries": [
+        [1, 2, 0, "1/2"], [0, 2, 1, "-3"], [0, 1, 2, "0.25"]]})
+    assert exact.exact
+    assert exact.c[1, 2, 0] == Fraction(1, 2) and exact.c[2, 1, 0] == Fraction(-1, 2)
+    assert exact.c[0, 1, 2] == Fraction(1, 4)
+    # one number among the values makes the bracket float
+    mixed = br.bracket_from_dict({"q": 0, "n": 3, "entries": [
+        [1, 2, 0, "1/3"], [0, 2, 1, -3]]})
+    assert not mixed.exact and mixed.c[1, 2, 0] == 1 / 3
+    for bad in ("1/0", "nan", "x"):
+        with pytest.raises(ValueError, match="malformed entry"):
+            br.bracket_from_dict({"q": 0, "n": 3, "entries": [[1, 2, 0, bad]]})
+
+
+@pytest.mark.parametrize("q, n", [(-1, 3), (0, 0), (2, -1)])
+def test_bracket_from_dict_rejects_bad_dimensions(q, n):
+    with pytest.raises(ValueError, match="need q >= 0 and n >= 1"):
+        br.bracket_from_dict({"q": q, "n": n, "entries": []})
+
+
+def test_bracket_from_dict_caps_dimension_before_allocating():
+    # a dense (1e9)^3 array would not fit; the cap fires first
+    with pytest.raises(ValueError, match="exceeds the largest supported dimension"):
+        br.bracket_from_dict({"q": 0, "n": 10 ** 9, "entries": [[0, 1, 2, 1.0]]})
+    dim = br.MAX_DIM
+    mu = br.bracket_from_dict({"q": 0, "n": dim, "entries": [[0, 1, 2, 1.0]]})
+    assert mu.dim == dim
+
+
+@pytest.mark.parametrize("value", [1e308, 1e151, "1e400"])
+def test_bracket_from_dict_rejects_oversized_norm(value):
+    entries = [[1, 2, 0, value], [0, 2, 1, value], [0, 1, 2, value]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="entries too large"):
+            br.bracket_from_dict({"q": 0, "n": 3, "entries": entries})
 
 
 def test_read_bracket_rejects_garbage(tmp_path):

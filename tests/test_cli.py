@@ -1,10 +1,13 @@
 import csv
 import json
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import homlie.brackets as br
+import homlie.coordinates as co
 from homlie.cli import main
 
 
@@ -115,6 +118,56 @@ def test_check_names_missing_entries_key(tmp_path, capsys):
     path.write_text('{"q":0,"n":1,"c":[[[0]]]}')
     assert main(["check", str(path)]) == 1
     assert "error: malformed bracket document: missing key 'entries'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"q":-1,"n":3,"entries":[]}', "need q >= 0 and n >= 1"),
+    ('{"q":0,"n":0,"entries":[]}', "need q >= 0 and n >= 1"),
+    ('{"q":0,"n":1000000000,"entries":[[0,1,2,1]]}', "exceeds the largest supported dimension"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,1e308],[0,2,1,-1e308],[0,1,2,1e308]]}',
+     "entries too large"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":5}', "params is not an object"),
+], ids=["negative_q", "zero_n", "huge_n", "overflowing_norm", "params_not_object"])
+def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.fixture
+def exact_file(tmp_path):
+    path = tmp_path / "exact.json"
+    br.write_bracket(path, br.milnor_bracket(Fraction(1, 2), 1, Fraction(3, 2)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{f}"],
+    ["curvature", "{f}"],
+    ["invariants", "{f}", "--order", "2"],
+    ["distance", "{f}", "{f}"],
+    ["flow", "{f}", "--t-end", "0.1"],
+    ["sequence", "milnor", "--params-list", "1,1,1;1/2,1,3/2", "--limit", "{f}"],
+], ids=lambda argv: argv[0])
+def test_commands_read_exact_bracket_files(exact_file, capsys, argv):
+    # `jet` is checked below
+    assert main([a.format(f=exact_file) for a in argv]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_jet_of_exact_file_is_exact(exact_file, capsys):
+    assert main(["jet", exact_file, "--degree", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jet = co.metric_jet(br.read_bracket(exact_file), 3)
+    assert doc["entries"]
+    for i, j, alpha, v in doc["entries"]:
+        assert isinstance(v, str) and Fraction(v) == jet.coefficient(i, j, alpha)
 
 
 def test_jet_json_output(h3_file, capsys):

@@ -112,6 +112,23 @@ def test_jet_exact_degree2_matches_closed_form_random_rational():
                 assert have == expect, (i, j, alpha, have, expect)
 
 
+def test_jet_exact_degree5_matches_float_and_closed_form():
+    mu = br.circle_isotropy3(Fraction(3, 4), Fraction(-2, 9), Fraction(5, 6), Fraction(-7, 3))
+    jet = co.metric_jet(mu, 5)
+    assert jet.exact
+    assert all(type(v) is Fraction for v in jet.g.ravel())
+    ref = co.metric_jet(br.Bracket(mu.q, mu.n, mu.as_float()), 5).g
+    err = np.max(np.abs(np.array(jet.g, dtype=float) - ref))
+    assert err <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    want = degree2_jet_closed_form(mu)
+    for alpha in jet.space.monomials:
+        if sum(alpha) > 2:
+            break
+        for i in range(3):
+            for j in range(3):
+                assert jet.coefficient(i, j, alpha) == want.get((i, j, alpha), 0)
+
+
 def test_jet_scaling_homogeneity():
     # coefficients of degree |alpha| scale like c^|alpha|
     mu = br.milnor_bracket(1.0, 0.5, -0.25)

@@ -112,13 +112,18 @@ def test_fingerprint_agrees_with_series_path(mu, order):
         assert np.max(np.abs(alg - ser)) <= 1e-10 * np.max(np.abs(ser))
 
 
+def _assert_fractions_equal(got, want):
+    assert got.shape == want.shape
+    for a, b in zip(got.ravel(), want.ravel()):
+        assert type(a) is Fraction and type(b) is Fraction and a == b
+
+
 def test_exact_fingerprint_equals_exact_series_path():
-    mu = br.milnor_bracket(1, 2, 3)
-    fp = cu.fingerprint(mu, 1)
-    series = curvature_derivatives(metric_jet(mu, 3), 1)
-    for alg, ser in zip(fp.tensors, series):
-        assert alg.shape == ser.shape
-        assert all(a == b for a, b in zip(alg.ravel(), ser.ravel()))
+    for mu in (br.milnor_bracket(1, 2, 3), br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1)):
+        fp = cu.fingerprint(mu, 1)
+        series = curvature_derivatives(metric_jet(mu, 3), 1)
+        for alg, ser in zip(fp.tensors, series):
+            _assert_fractions_equal(alg, ser)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +150,33 @@ def test_exact_fingerprint_is_all_fractions():
         assert all(type(v) is Fraction for v in t.ravel())
     assert np.array_equal(np.array(fp.tensors[0], dtype=float),
                           cu.riemann_origin(br.milnor_bracket(1.0, 2.0, 3.0)))
+
+
+rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+exact_members = st.one_of(
+    st.builds(br.milnor_bracket, rational, rational, rational),
+    st.builds(br.circle_isotropy3, rational, rational, rational,
+              rational.filter(lambda d: d != 0)))   # d = 0 fails (h4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(exact_members)
+def test_exact_fingerprint_equals_exact_series_path_random(mu):
+    # integer-scaled Nomizu derivation against integer-scaled Christoffel
+    # calculus on the metric jet: two independent exact routes
+    fp = cu.fingerprint(mu, 2)
+    series = curvature_derivatives(metric_jet(mu, 4), 2)
+    for alg, ser in zip(fp.tensors, series):
+        _assert_fractions_equal(alg, ser)
+
+
+def test_exact_zero_bracket_gives_zero_fractions():
+    mu = br.milnor_bracket(0, 0, 0)
+    assert mu.exact
+    for tensors in (cu.fingerprint(mu, 2).tensors,
+                    curvature_derivatives(metric_jet(mu, 4), 2)):
+        for t in tensors:
+            assert all(type(v) is Fraction and v == 0 for v in t.ravel())
 
 
 def test_fingerprint_rejects_nonmember():
