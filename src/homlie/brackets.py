@@ -589,6 +589,9 @@ def bracket_to_dict(mu):
 
     Exact constants are written as "p/q" strings, so that the document
     reads back as the same exact bracket; float constants as numbers.
+    The family params follow the constants: int and Fraction values of
+    an exact bracket as strings, other numbers as floats, bools as they
+    are.
     """
     c = mu.c
     entries = []
@@ -603,9 +606,16 @@ def bracket_to_dict(mu):
     if mu.family is not None:
         out["family"] = mu.family
         if mu.params:
-            out["params"] = {k: (v if isinstance(v, bool) else float(v))
-                             for k, v in mu.params.items()}
+            out["params"] = {k: _param_to_json(v, mu.exact) for k, v in mu.params.items()}
     return out
+
+
+def _param_to_json(value, exact):
+    if isinstance(value, bool):
+        return value
+    if exact and isinstance(value, _EXACT_TYPES):
+        return str(Fraction(value))
+    return float(value)
 
 
 # Largest q + n a bracket document may declare.  The membership check
@@ -624,7 +634,8 @@ def bracket_from_dict(data):
 
     A value may be a number or a string parsed by Fraction ("1/2",
     "-3", "0.25").  When every value is a string the bracket is exact,
-    otherwise it is float.  q + n and ||mu||^2 (at most MAX_DIM and
+    otherwise it is float.  String values in "params" are read as
+    Fractions too.  q + n and ||mu||^2 (at most MAX_DIM and
     MAX_NORM_SQ) are checked before the dense array is allocated.
     """
     try:
@@ -645,6 +656,11 @@ def bracket_from_dict(data):
     params = data.get("params")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"malformed bracket document: params is not an object: {params!r}")
+    if params:
+        try:
+            params = {k: Fraction(v) if isinstance(v, str) else v for k, v in params.items()}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed bracket document: params: {exc}") from exc
     exact = len(entries) > 0 and all(
         isinstance(ent, (list, tuple)) and len(ent) == 4 and isinstance(ent[3], str)
         for ent in entries)

@@ -47,9 +47,14 @@ vanishes exactly on pairs related by an orthogonal change of tangent
 basis.  Such an h also carries the Ricci eigenframe of mu onto that of
 lam, so the minimum is sought over a finite set of frame alignments
 (exact for a simple Ricci spectrum, seeded random block rotations on
-repeated eigenspaces) followed by one least-squares polish.
+repeated eigenspaces) followed by one least-squares polish.  The
+alignments are scored in the two eigenframes, where a sign change of
+the frame only flips the signs of parity classes of entries: the 2^n
+sign vectors cost one rotation and two class sums per block rotation,
+and n is capped at MAX_ORBIT_DIM.
 """
 
+import functools
 import itertools
 import math
 
@@ -207,8 +212,14 @@ def _derive(d, t):
     return out
 
 
+# Most entries the top tensor of a fingerprint may have, n^(4 + order):
+# 400 MB in floats.  It admits Aloff-Wallach (n = 7) up to order 5.
+MAX_FINGERPRINT_ENTRIES = 5 * 10**7
+
+
 def fingerprint(mu, order=2):
-    """Fingerprint of the given order; raises ValueError on a non-member.
+    """Fingerprint of the given order; raises ValueError on a non-member
+    or when the top tensor would exceed MAX_FINGERPRINT_ENTRIES.
 
     Exact brackets are computed in Python ints.  D is linear in the
     constants and Riem quadratic, so order k scales by s^(2+k) when the
@@ -218,6 +229,10 @@ def fingerprint(mu, order=2):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    # n >= 2 exceeds the cap below rank 64, so the power stays small
+    if mu.n ** min(4 + order, 64) > MAX_FINGERPRINT_ENTRIES:
+        raise ValueError(f"order {order} at n = {mu.n} needs {mu.n}^{4 + order} entries, "
+                         f"above MAX_FINGERPRINT_ENTRIES = {MAX_FINGERPRINT_ENTRIES}")
     require_member(mu)
     c = mu.c
     if mu.exact:
@@ -233,10 +248,16 @@ def fingerprint(mu, order=2):
 
 
 def rotate_tensor(h, t):
-    """Rotate every index of a covariant tensor: out = T(h^T ., ..., h^T .)."""
-    for axis in range(t.ndim):
-        t = np.moveaxis(np.tensordot(h, t, axes=(1, axis)), 0, axis)
-    return t
+    """Rotate every index of a covariant tensor: out = T(h^T ., ..., h^T .).
+
+    Each pass contracts the leading index with h and moves it last, so
+    after t.ndim passes every index is rotated and back in place.
+    """
+    n = h.shape[0]
+    out = t
+    for _ in range(t.ndim):
+        out = (h @ out.reshape(n, -1)).T
+    return out.reshape(t.shape)
 
 
 def _skew_from_params(theta, n):
@@ -277,6 +298,44 @@ def _block_rotations(eigenvalues, restarts, seed):
     return out
 
 
+# Largest tangent dimension invariant_distance accepts: the sign vectors
+# of the candidate set number 2^n.  The families here have n <= 7.
+MAX_ORBIT_DIM = 12
+
+
+def _sign_scores(a, c, rotations):
+    """Squared misfits || diag(s) B . a - c ||^2 for every B in `rotations`
+    and, for each B, every sign vector s in itertools.product order.
+
+    a and c are lists of tensors in the Ricci eigenframes.  diag(s)
+    multiplies the entry at (i_1, ..., i_k) by prod_j s_j over the axes j
+    that occur an odd number of times in the index, its parity class.
+    Summing (x - c)^2 and (x + c)^2 per class, x = B . a, gives every
+    sign vector's score from one rotation and two bincounts; all terms
+    are non-negative, so nothing cancels.
+    """
+    n = a[0].shape[0]
+    bits = 1 << np.arange(n)
+    codes = [functools.reduce(np.bitwise_xor, np.ix_(*[bits] * t.ndim)).ravel()
+             for t in a]
+    size = 2 ** n
+    classes = np.flatnonzero(sum(np.bincount(code, minlength=size) for code in codes))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    member = (classes >> np.arange(n)[:, None]) & 1        # member[j, class]
+    flip = (((signs < 0) @ member) % 2).astype(float)     # s negates the class
+    keep_rows = 1.0 - flip
+    out = []
+    for b in rotations:
+        keep = swap = 0
+        for code, ta, tc in zip(codes, a, c):
+            x = rotate_tensor(b, ta).ravel()
+            tc = tc.ravel()
+            keep = keep + np.bincount(code, (x - tc) ** 2, size)
+            swap = swap + np.bincount(code, (x + tc) ** 2, size)
+        out.append(keep_rows @ keep[classes] + flip @ swap[classes])
+    return np.concatenate(out), signs
+
+
 def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
     """Distance between rotation orbits of curvature fingerprints.
 
@@ -288,7 +347,13 @@ def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
     also `restarts` block-diagonal rotations, Haar-random on each repeated
     eigenspace and drawn from `seed`.  A Levenberg-Marquardt pass on the
     entry-wise residuals, h = h0 expm(S(theta)), polishes the best
-    candidate h0.
+    candidate h0 (the first one on a tie).
+
+    The candidates are scored in the eigenframes: with A = U_mu^T . w_mu
+    and C = U_lam^T . w_lam, || h . w_mu - w_lam || = || diag(s) B . A - C ||,
+    and diag(s) only changes the signs of whole parity classes of
+    entries, so each B costs one rotation of A whatever the number of
+    sign vectors (see _sign_scores).  n is at most MAX_ORBIT_DIM.
 
     With a simple spectrum the candidate set is exact: it holds every h
     that matches the Ricci forms, so a rotated pair is found.  With a
@@ -303,6 +368,9 @@ def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = mu.n
+    if n > MAX_ORBIT_DIM:
+        raise ValueError(f"orbit distance needs n <= MAX_ORBIT_DIM = {MAX_ORBIT_DIM} "
+                         f"(2^n sign candidates), got n = {n}")
     wa = [np.asarray(t, float) for t in fingerprint(mu, order).tensors]
     wb = [np.asarray(t, float) for t in fingerprint(lam, order).tensors]
 
@@ -315,13 +383,17 @@ def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
 
     eva, ua = np.linalg.eigh(_ricci(wa[0]))
     _, ub = np.linalg.eigh(_ricci(wb[0]))
-    candidates = [np.eye(n)]
-    for b in _block_rotations(eva, restarts, seed):
-        for s in itertools.product((1.0, -1.0), repeat=n):
-            candidates.append(ub @ (np.array(s)[:, None] * b) @ ua.T)
-    values = [float(np.linalg.norm(misfit(h))) for h in candidates]
+    rotations = _block_rotations(eva, restarts, seed)
+    scores, signs = _sign_scores([rotate_tensor(ua.T, t) for t in wa],
+                                 [rotate_tensor(ub.T, t) for t in wb], rotations)
+    values = np.concatenate([[np.linalg.norm(misfit(np.eye(n)))], np.sqrt(scores)])
     best = int(np.argmin(values))
+    if best == 0:
+        h0 = np.eye(n)
+    else:
+        b, s = divmod(best - 1, len(signs))
+        h0 = ub @ (signs[s][:, None] * rotations[b]) @ ua.T
     fit = least_squares(residuals, np.zeros(n * (n - 1) // 2),
-                        args=(candidates[best],), method="lm",
+                        args=(h0,), method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return min(values[best], float(np.linalg.norm(fit.fun)))
+    return min(float(values[best]), float(np.linalg.norm(fit.fun)))

@@ -263,6 +263,27 @@ def test_json_round_trip_exact(tmp_path):
         assert all(type(v) is Fraction and v == w for v, w in zip(back.c.ravel(), mu.c.ravel()))
 
 
+def test_json_round_trip_exact_params(tmp_path):
+    path = tmp_path / "params.json"
+    br.write_bracket(path, br.milnor_bracket(Fraction(1, 3), 1, 1))
+    assert json.loads(path.read_text())["params"] == {"a": "1/3", "b": "1", "c": "1"}
+    back = br.read_bracket(path)
+    assert back.params == {"a": Fraction(1, 3), "b": 1, "c": 1}
+    assert all(type(v) is Fraction for v in back.params.values())
+    # bools stay bools, and a float bracket keeps float params
+    br.write_bracket(path, br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1, rational_ratio=False))
+    back = br.read_bracket(path)
+    assert back.params["rational_ratio"] is False and back.params["p"] == 1
+    br.write_bracket(path, br.milnor_bracket(1 / 3, 1.0, 1))
+    doc = json.loads(path.read_text())
+    assert doc["params"] == {"a": 1 / 3, "b": 1.0, "c": 1.0}
+    assert br.read_bracket(path).params == doc["params"]
+    for bad in ("1/0", "x"):
+        with pytest.raises(ValueError, match="params"):
+            br.bracket_from_dict({"q": 0, "n": 3, "entries": [[1, 2, 0, 1]],
+                                  "params": {"a": bad}})
+
+
 def test_bracket_from_dict_parses_fraction_strings():
     exact = br.bracket_from_dict({"q": 0, "n": 3, "entries": [
         [1, 2, 0, "1/2"], [0, 2, 1, "-3"], [0, 1, 2, "0.25"]]})

@@ -127,7 +127,9 @@ def test_check_names_missing_entries_key(tmp_path, capsys):
     ('{"q":0,"n":3,"entries":[[1,2,0,1e308],[0,2,1,-1e308],[0,1,2,1e308]]}',
      "entries too large"),
     ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":5}', "params is not an object"),
-], ids=["negative_q", "zero_n", "huge_n", "overflowing_norm", "params_not_object"])
+    ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":{"a":"1/0"}}', "params"),
+], ids=["negative_q", "zero_n", "huge_n", "overflowing_norm", "params_not_object",
+        "params_bad_fraction"])
 def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -138,6 +140,16 @@ def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("command", ["invariants", "distance"])
+def test_order_above_entry_cap_is_rejected(su2_file, capsys, command):
+    files = [su2_file] * (2 if command == "distance" else 1)
+    assert main([command, *files, "--order", "40"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "MAX_FINGERPRINT_ENTRIES" in lines[0]
 
 
 @pytest.fixture

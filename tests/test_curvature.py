@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import homlie.brackets as br
 import homlie.curvature as cu
+from homlie.classify import isometry_test
 from homlie.coordinates import (coordinate_curvature_oracle,
                                 curvature_derivatives, metric_jet)
 from helpers import exact_bracket, lauret_ricci, milnor_ricci_eigenvalues, \
@@ -187,6 +189,22 @@ def test_fingerprint_rejects_nonmember():
         cu.fingerprint(mu, 1)
 
 
+def _rotate_per_axis(h, t):
+    """Reference rotation: one tensordot and one moveaxis per index."""
+    for axis in range(t.ndim):
+        t = np.moveaxis(np.tensordot(h, t, axes=(1, axis)), 0, axis)
+    return t
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_rotate_tensor_matches_per_axis_reference(n):
+    rng = np.random.default_rng(n)
+    h = random_orthogonal(n, rng)
+    for rank in (4, 5, 6):
+        t = rng.standard_normal((n,) * rank)
+        assert np.array_equal(cu.rotate_tensor(h, t), _rotate_per_axis(h, t))
+
+
 def test_rotate_tensor_equivariance():
     mu = br.milnor_bracket(1.0, 0.5, 0.25)
     rng = np.random.default_rng(3)
@@ -243,6 +261,81 @@ def test_invariant_distance_rejects_negative_restarts():
     mu = br.milnor_bracket(1.0, 0.5, 0.25)
     with pytest.raises(ValueError, match="restarts"):
         cu.invariant_distance(mu, mu, restarts=-1)
+
+
+def _in_random_frame(mu, seed):
+    """mu after a random orthogonal change of tangent basis."""
+    h = np.eye(mu.dim)
+    h[mu.q:, mu.q:] = random_orthogonal(mu.n, np.random.default_rng(seed))
+    return br.gl_action(h, mu)
+
+
+def _found_pair():
+    """A distinct pair whose polish stops in a local minimum (16.51, where
+    a multi-start search finds 14.63)."""
+    h = random_orthogonal(3, np.random.default_rng(5))
+    return (br.milnor_bracket(-1.0, 1.5, 2.0),
+            br.gl_action(h, br.milnor_bracket(1.0, 1.5, 2.0)))
+
+
+@pytest.mark.parametrize("pair, order", [
+    ((br.milnor_bracket(2.0, 1.0, 1.0), _in_random_frame(br.milnor_bracket(2.0, 1.0, 1.0), 7)), 1),
+    (_found_pair(), 2),
+    ((br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+      br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 0.5, 1.0)), 1),
+], ids=["berger", "found_pair_order2", "aloff_wallach"])
+def test_sign_scores_equal_brute_force_misfits(pair, order):
+    # every candidate h = U_lam diag(s) B U_mu^T, scored by a full rotation
+    mu, lam = pair
+    wa = cu.fingerprint(mu, order).tensors
+    wb = cu.fingerprint(lam, order).tensors
+    eva, ua = np.linalg.eigh(np.einsum("kabk->ab", wa[0]))
+    _, ub = np.linalg.eigh(np.einsum("kabk->ab", wb[0]))
+    rotations = cu._block_rotations(eva, 4, 0)
+    scores, signs = cu._sign_scores([_rotate_per_axis(ua.T, t) for t in wa],
+                                    [_rotate_per_axis(ub.T, t) for t in wb], rotations)
+    assert scores.shape == (len(rotations) * 2 ** mu.n,)
+    # a score is at most 2 (|w_mu|^2 + |w_lam|^2); the absolute floor only
+    # matters for the near-zero score of the matching candidate
+    scale = sum(np.sum(t * t) for t in wa + wb)
+    for k, (b, s) in enumerate(itertools.product(rotations, signs)):
+        h = ub @ (s[:, None] * b) @ ua.T
+        want = sum(np.sum((_rotate_per_axis(h, ta) - tb) ** 2) for ta, tb in zip(wa, wb))
+        assert scores[k] == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
+
+
+@pytest.mark.parametrize("mu", [
+    br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
+    br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+], ids=["circle5", "aloff_wallach"])
+def test_invariant_distance_rotated_pair_beyond_n3(mu):
+    # both have 2-fold Ricci clusters (circle5 two, Aloff-Wallach three),
+    # so the block rotations of the degenerate branch find the match
+    assert cu.invariant_distance(mu, _in_random_frame(mu, 30)) <= 1e-10
+
+
+def test_invariant_distance_rejects_n_above_cap(monkeypatch):
+    n = cu.MAX_ORBIT_DIM + 1
+    mu = br.Bracket(0, n, np.zeros((n, n, n)))
+
+    def enumerate_nothing(*args):
+        raise AssertionError("fingerprint computed before the dimension check")
+
+    monkeypatch.setattr(cu, "fingerprint", enumerate_nothing)
+    with pytest.raises(ValueError, match="MAX_ORBIT_DIM"):
+        cu.invariant_distance(mu, mu)
+
+
+def test_fingerprint_order_cap():
+    mu = br.milnor_bracket(1.0, 0.5, 0.25)
+    for call in (lambda: cu.fingerprint(mu, 40),
+                 lambda: cu.fingerprint(mu, 10**9),
+                 lambda: cu.invariant_distance(mu, mu, order=40),
+                 lambda: isometry_test(mu, mu, order=40)):
+        with pytest.raises(ValueError, match="MAX_FINGERPRINT_ENTRIES"):
+            call()
+    # the cap admits Aloff-Wallach (n = 7) at order 5
+    assert 7 ** 9 <= cu.MAX_FINGERPRINT_ENTRIES < 7 ** 10
 
 
 def milnor_plus_line(a, b, c):
