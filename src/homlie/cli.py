@@ -29,18 +29,15 @@ def _fail(message, code=1):
     return code
 
 
-def _load(path):
+def _write_json(path, doc):
+    """Write doc as indented JSON plus a newline to path, or to stdout."""
+    out = open(path, "w") if path else sys.stdout
     try:
-        return br.read_bracket(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(_fail(str(exc)))
-
-
-def _require_member(mu):
-    rep = br.check_membership(mu)
-    if not rep.passed:
-        raise SystemExit(_fail(f"bracket fails the membership check: {rep!r}"))
-    return rep
+        json.dump(doc, out, indent=1)
+        out.write("\n")
+    finally:
+        if path:
+            out.close()
 
 
 def _print_report(rep):
@@ -54,15 +51,15 @@ def _print_report(rep):
 
 
 def cmd_check(args):
-    mu = _load(args.bracket)
+    mu = br.read_bracket(args.bracket)
     tol = args.tol
     _print_report(br.check_membership(mu, tol=tol))
     return 0
 
 
 def cmd_curvature(args):
-    mu = _load(args.bracket)
-    _require_member(mu)
+    mu = br.read_bracket(args.bracket)
+    br.require_member(mu)
     data = cu.curvature_data(mu)
     eigs = data.ricci_eigenvalues
     print("ricci endomorphism:")
@@ -71,30 +68,26 @@ def cmd_curvature(args):
     print("ricci eigenvalues (descending): " + " ".join(repr(float(v)) for v in eigs))
     print("scalar invariants f_k: " + " ".join(repr(float(v)) for v in data.invariants))
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(data.to_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_json(args.output, data.to_dict())
     return 0
 
 
 def cmd_invariants(args):
-    mu = _load(args.bracket)
-    _require_member(mu)
+    mu = br.read_bracket(args.bracket)
+    br.require_member(mu)
     fs = cu.scalar_invariants(mu)
     fp = cu.fingerprint(mu, args.order)
     print("scalar invariants f_k: " + " ".join(repr(float(v)) for v in fs))
     for k, t in enumerate(fp.tensors):
         print(f"|nabla^{k} Riem|^2 : {float(np.sum(t * t))!r}")
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(fp.to_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_json(args.output, fp.to_dict())
     return 0
 
 
 def cmd_distance(args):
-    mu = _load(args.bracket)
-    lam = _load(args.other)
+    mu = br.read_bracket(args.bracket)
+    lam = br.read_bracket(args.other)
     if mu.n != lam.n:
         return _fail("tangent dimensions differ")
     d = cu.invariant_distance(mu, lam, order=args.order,
@@ -104,17 +97,9 @@ def cmd_distance(args):
 
 
 def cmd_jet(args):
-    mu = _load(args.bracket)
-    _require_member(mu)
-    jet = co.metric_jet(mu, args.degree)
-    doc = jet.to_dict()
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=1)
-        print()
+    mu = br.read_bracket(args.bracket)
+    br.require_member(mu)
+    _write_json(args.output, co.metric_jet(mu, args.degree).to_dict())
     return 0
 
 
@@ -153,9 +138,9 @@ def cmd_flow(args):
     if args.resume:
         mu, t_offset = _read_trajectory_sample(args.bracket)
     else:
-        mu = _load(args.bracket)
+        mu = br.read_bracket(args.bracket)
         t_offset = 0.0
-    _require_member(mu)
+    br.require_member(mu)
     traj = fl.integrate(mu, args.t_end, normalized=args.normalized,
                         rtol=args.rtol, max_steps=args.max_steps,
                         record_stride=args.stride)
@@ -256,7 +241,7 @@ def _fmt(v):
 
 
 def cmd_sequence(args):
-    limit = _load(args.limit)
+    limit = br.read_bracket(args.limit)
     params_seq = [tuple(_parse_params(p)) for p in args.params_list.split(";") if p.strip()]
     pairs = None
     limit_pair = None
@@ -495,8 +480,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 

@@ -14,7 +14,10 @@ products of tangent-block columns of A(x):
 
 Everything downstream of the jet is classical tensor calculus on a
 polynomial metric: Christoffel symbols, the curvature tensor, and its
-covariant derivatives, evaluated at the origin.  This path makes no use
+covariant derivatives, evaluated at the origin.  Each term of these
+textbook formulas is one einsum contraction of polynomial tensors
+through PolySpace.mul, e.g. Gamma^k_{ij} = g^{kl} c_{lij} / 2 is
+mul("kl,lij->kij", ginv, c).  This path makes no use
 of algebraic curvature formulas, which is what makes it a trustworthy
 cross-check (and the arbiter of sign conventions) for the fast
 algebraic path in the curvature module.
@@ -163,12 +166,8 @@ def metric_jet(mu, degree):
     b = w * scale[:, None, None]
 
     # tangent block of B and the convolution g = P^T P
-    p = b[:, q:, q:]
-    i1, i2, it = space._mul_i1, space._mul_i2, space._mul_it
-    acc = np.zeros((space.size, n, n), dtype=c.dtype)
-    prod = np.einsum("pki,pkj->pij", p[i1], p[i2])
-    np.add.at(acc, it, prod)
-    g = np.moveaxis(acc, 0, -1)
+    p = np.moveaxis(b[:, q:, q:], 0, -1)
+    g = space.mul("ki,kj->ij", p, p)
     if exact:
         g = from_integers(g, (lcm * f) ** space.degrees.astype(object))
     return MetricJet(q, n, degree, space, g)
@@ -185,65 +184,42 @@ def _christoffel(space, g):
     exact = g.dtype == object
 
     eye = space.zeros((n, n), exact)
-    for i in range(n):
-        eye[i, i, 0] = 1
+    eye[np.arange(n), np.arange(n), 0] = 1
     h = g - eye
     ginv = eye.copy()
     term = eye.copy()
     for _ in range(space.degree):
-        term = -space.matmul(term, h)
+        term = -space.mul("ik,kj->ij", term, h)
         ginv = ginv + term
 
     dg = np.stack([space.diff(g, m) for m in range(n)])   # dg[m, i, j]
     # c[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     cc = (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (2, 1, 0, 3))
           - np.transpose(dg, (0, 1, 2, 3)))
-    gam = space.zeros((n, n, n), exact)
-    for k in range(n):
-        for l in range(n):
-            gam[k] = gam[k] + space.mul(ginv[k, l][None, None, :], cc[l])
+    gam = space.mul("kl,lij->kij", ginv, cc)
     # exact callers scale g so that cc is even (see curvature_derivatives)
-    return (gam // 2 if exact else 0.5 * gam), ginv
+    return gam // 2 if exact else 0.5 * gam
 
 
 def _riemann_poly(space, g, gam):
     """Lowered curvature tensor Riem_{ijkl} = <R(d_i, d_j) d_k, d_l>."""
     n = space.nvars
-    exact = g.dtype == object
     dgam = np.stack([space.diff(gam, m) for m in range(n)])   # dgam[m, k, i, j]
-    rup = space.zeros((n, n, n, n), exact)                    # rup[l, k, i, j]
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    rup[l, k, i, j] = dgam[i, l, j, k] - dgam[j, l, i, k]
-    for m in range(n):
-        term = space.mul(gam[:, :, m, None, None, :], gam[None, None, m, :, :, :])
-        # term[l, i, j, k] = Gamma^l_{im} Gamma^m_{jk}
-        rup = rup + np.transpose(term, (0, 3, 1, 2, 4)) - np.transpose(term, (0, 3, 2, 1, 4))
-    low = space.zeros((n, n, n, n), exact)       # low[k, i, j, l]
-    for l in range(n):
-        for m in range(n):
-            low[:, :, :, l] = low[:, :, :, l] + space.mul(
-                g[l, m][None, None, None, :], rup[m, :, :, :])
-    # reorder low[k, i, j, l] -> riem[i, j, k, l]
-    return np.transpose(low, (1, 2, 0, 3, 4))
+    # rup[l, k, i, j] = R^l_{kij}
+    #   = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im} Gamma^m_{jk} - (i <-> j)
+    gg = space.mul("lim,mjk->lkij", gam, gam)
+    rup = (np.einsum("iljk...->lkij...", dgam) - np.einsum("jlik...->lkij...", dgam)
+           + gg - np.swapaxes(gg, 2, 3))
+    return space.mul("lm,mkij->ijkl", g, rup)
 
 
 def _covariant_derivative(space, gam, t):
     """One covariant derivative of a covariant poly tensor, index prepended."""
     n = space.nvars
-    rank = t.ndim - 1
     out = np.stack([space.diff(t, m) for m in range(n)])
-    for s in range(rank):
-        ts = np.moveaxis(t, s, 0)          # slot s first
-        shape_ones = (1,) * (rank - 1)
-        corr = None
-        for p in range(n):
-            gp = gam[p].reshape((n, n) + shape_ones + (space.size,))
-            tp = ts[p][None, None, ...]
-            contrib = space.mul(gp, tp)     # (m, j, rest..., size)
-            corr = contrib if corr is None else corr + contrib
+    for s in range(t.ndim - 1):
+        # corr[m, b, rest...] = Gamma^p_{mb} t[..., p in slot s, ...]
+        corr = space.mul("pmb,p...->mb...", gam, np.moveaxis(t, s, 0))
         out = out - np.moveaxis(corr, 1, s + 1)
     return out
 
@@ -272,7 +248,7 @@ def curvature_derivatives(jet, order):
     if jet.exact:
         scale = 2 * common_denominator(g)
         g = to_integers(g, scale ** space.degrees.astype(object))
-    gam, _ = _christoffel(space, g)
+    gam = _christoffel(space, g)
     riem = _riemann_poly(space, g, gam)
     out = [space.value_at_zero(riem)]
     t = riem

@@ -7,10 +7,13 @@ total degree, ties broken by lexicographic comparison of the exponent
 tuples.  Index 0 is always the constant term.
 
 Leading axes are free, so a matrix of polynomials is simply an array of
-shape (n, n, size); all operations broadcast over leading axes.  Both
-float64 and object (Python int or Fraction) coefficients are supported,
-through one code path: products go through a precomputed index table
-and np.add.at whatever the dtype.  The exact callers in the coordinates
+shape (n, n, size).  The one product, mul, is an einsum contraction over
+the leading axes named by its subscripts, with the truncated polynomial
+product on the last axis: every pair of monomials whose degrees fit is
+listed once in an index table, the factors are gathered along it, one
+einsum contracts them, and np.add.at sums each pair into its product
+monomial.  Both float64 and object (Python int or Fraction) coefficients
+go through this one code path.  The exact callers in the coordinates
 module scale their jets to integers first, so object arithmetic runs on
 Python ints and never normalises a Fraction.
 
@@ -91,20 +94,23 @@ class PolySpace:
 
     # -- arithmetic ----------------------------------------------------
 
-    def mul(self, a, b):
-        """Truncated product; broadcasts over leading axes."""
+    def mul(self, subscripts, a, b):
+        """Truncated product contracted like np.einsum(subscripts, a, b).
+
+        The subscripts name the leading axes only ("ik,kj->ij" is a
+        matrix product of polynomial matrices, "..." is allowed); the
+        last axis of a, b and the result holds the coefficients.
+        """
+        inputs, output = subscripts.split("->")
+        sa, sb = inputs.split(",")
+        z = next(ch for ch in "zyxwvutsrqponmlkjihgfedcba" if ch not in subscripts)
         a = np.asarray(a)
         b = np.asarray(b)
-        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        exact = a.dtype == object or b.dtype == object
-        out = self.zeros(lead, exact)
-        prod = a[..., self._mul_i1] * b[..., self._mul_i2]
+        prod = np.einsum(f"{sa}{z},{sb}{z}->{output}{z}",
+                         a[..., self._mul_i1], b[..., self._mul_i2])
+        out = self.zeros(prod.shape[:-1], prod.dtype == object)
         np.add.at(out, (Ellipsis, self._mul_it), prod)
         return out
-
-    def matmul(self, a, b):
-        """Contract poly matrices: (..., r, k, size) x (..., k, s, size)."""
-        return self.mul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
     def diff(self, a, k):
         """Partial derivative in variable k; broadcasts over leading axes."""

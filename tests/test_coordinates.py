@@ -197,7 +197,7 @@ def test_christoffel_at_origin_sign():
     # Gamma^i_{rj}(0) = -(mu_{ri}^j + mu_{ji}^r)/2 over tangent indices
     mu = br.milnor_bracket(1.0, 2.0, -0.5)
     jet = co.metric_jet(mu, 2)
-    gam, _ = co._christoffel(jet.space, jet.g)
+    gam = co._christoffel(jet.space, jet.g)
     n = 3
     for i in range(n):
         for r in range(n):

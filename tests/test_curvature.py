@@ -355,6 +355,17 @@ def test_invariant_distance_degenerate_spectrum_without_symmetry(frame):
     assert cu.invariant_distance(mu, br.gl_action(h, mu)) <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason="a 3-dimensional Ricci eigenspace that no "
+                   "symmetry rotates can be missed (ROADMAP item 2)")
+@pytest.mark.parametrize("frame", range(8))
+def test_invariant_distance_three_fold_eigenvalue_without_symmetry(frame):
+    # Ricci spectrum 1, 1, 2.5, 2.5, 2.5: the random block rotations of the
+    # three-fold eigenspace do not bring the polish into the matching basin,
+    # and every frame gives 0.72 to 4.99 where the orbit distance is 0
+    mu = br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0)
+    assert cu.invariant_distance(mu, _in_random_frame(mu, frame)) <= 1e-6
+
+
 def test_invariant_distance_degenerate_berger_pair():
     mu = br.milnor_bracket(2.0, 1.0, 1.0)
     h = random_orthogonal(3, np.random.default_rng(7))
