@@ -103,9 +103,8 @@ class Bracket:
             raise ValueError(f"structure constants must have shape {(dim, dim, dim)}, got {c.shape}")
         if c.dtype != object:
             c = c.astype(float)
-        sym = c + np.swapaxes(c, 0, 1)
-        if not np.all(sym == 0):
-            # a NaN or infinite entry always lands here (nan != 0,
+        if (c + c.swapaxes(0, 1)).any():
+            # a NaN or infinite entry always lands here (nan is nonzero,
             # inf - inf = nan), so valid input pays nothing for this test
             if c.dtype != object and not np.all(np.isfinite(c)):
                 raise ValueError("structure constants must be finite")
@@ -255,7 +254,8 @@ def check_membership(mu, tol=None):
 
     (h1) and (h3) are reported as max-abs residuals, (h4) as the
     numerical kernel dimension of z in R^q |-> mu(z, .)|_{R^n} (singular
-    values below tol * sigma_max count as zero), and (h2) as the
+    values below tol / (1 + ||mu||^2) * sigma_max count as zero, a
+    scale-free 1e-10 at the default tolerance), and (h2) as the
     tri-state derived from the family tag.  The bracket is accepted iff
     both residuals are <= tol, the kernel dimension is 0, and (h2) does
     not fail.
@@ -287,7 +287,7 @@ def check_membership(mu, tol=None):
         if smax == 0.0:
             h4_dim = q
         else:
-            h4_dim = int(np.sum(sv <= tol * smax))
+            h4_dim = int(np.sum(sv <= tol * smax / (1.0 + float(np.sum(c * c)))))
 
     return MembershipReport(q, n, float(tol), jac, sub, _h2_status(mu), h3, h4_dim)
 

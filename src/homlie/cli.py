@@ -8,6 +8,7 @@ text or CSV and is deterministic for fixed arguments and seed.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -140,18 +141,16 @@ def cmd_flow(args):
     else:
         mu = br.read_bracket(args.bracket)
         t_offset = 0.0
-    br.require_member(mu)
     traj = fl.integrate(mu, args.t_end, normalized=args.normalized,
                         rtol=args.rtol, max_steps=args.max_steps,
                         record_stride=args.stride)
+    index = tuple(zip(*_constants_columns(mu.dim)))
     rows = []
     for s in traj.samples:
-        residual = 0.0 if s.norm == 0.0 else fl.soliton_residual(s.bracket)
-        row = [t_offset + s.t, s.norm, residual]
+        row = [t_offset + s.t, s.norm, s.residual]
         row.extend(s.ricci_eigenvalues)
         if args.constants:
-            row.extend(s.bracket.c[i, j, k]
-                       for i, j, k in _constants_columns(mu.dim))
+            row.extend(s.bracket.c[index])
         rows.append(row)
     header = ["t", "norm", "soliton_residual"] + [f"ric_{i+1}" for i in range(mu.n)]
     if args.constants:
@@ -392,6 +391,7 @@ def cmd_reproduce(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     ap = argparse.ArgumentParser(prog="homlie",
                                  description="homogeneous spaces as varying Lie brackets")

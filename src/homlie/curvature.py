@@ -19,6 +19,9 @@ positive sectional curvature:
     Riem(x, y, z, w) = <R(x, y) z, w>,    sec(x, y) = Riem(x, y, y, x),
     Ric(y, z) = sum_i Riem(e_i, y, z, e_i).
 
+ricci_operator takes that trace inside the formula for R (Besse,
+Einstein Manifolds, 7.38), one contraction without building Riem.
+
 The series path in the coordinates module computes the same tensors
 from the metric Taylor expansion alone and is used as an independent
 cross-check; the two paths agree at the origin because the coordinate
@@ -83,7 +86,7 @@ def _koszul(ct):
     On an object array the constants must be even integers, and the
     halving is exact integer division.
     """
-    s = np.transpose(ct, (0, 2, 1)) - ct - np.transpose(ct, (2, 1, 0))
+    s = ct.transpose(0, 2, 1) - ct - ct.transpose(2, 1, 0)
     return s // 2 if ct.dtype == object else 0.5 * s
 
 
@@ -128,8 +131,19 @@ def _power_traces(ric, count):
 
 
 def ricci_operator(mu):
-    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b)."""
-    return _ricci(riemann_origin(mu))
+    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b).
+
+    Ricci by contraction (Besse, Einstein Manifolds, 7.38), symmetrized:
+    Ric[a, b] = tr . D[a, :, b] - sum_{r,k} (D[a,r,k] + c[k,a,r]) D[r,k,b]
+                - sum_{k,z} c[k,a,z] c[z,b,k],  tr = sum_k D[k, k] (z isotropy).
+    """
+    c, q, n = mu.float_c, mu.q, mu.n
+    ct = c[q:, q:, q:]
+    d = _koszul(ct)
+    ric = d.trace() @ d - (d + ct.transpose(1, 2, 0)).reshape(n, -1) @ d.reshape(-1, n)
+    if q > 0:
+        ric -= np.einsum("kaz,zbk->ab", c[q:, q:, :q], c[:q, q:, q:])
+    return 0.5 * (ric + ric.T)
 
 
 def scalar_invariants(mu, count=None):

@@ -14,9 +14,12 @@ a multiple of the bracket itself (algebraic solitons); the scale-free
 defect of that property is reported by soliton_residual.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with standard
-step control.  In normalized mode the state is rescaled to unit bracket
-norm after every accepted step, which keeps trajectories on the sphere
-without changing their direction field.
+step control; the seven stages of a step are the rows of one array, so
+stage states and weighted sums are matrix products with the tableau.  In
+normalized mode the state is rescaled to unit bracket norm after every
+accepted step, which keeps trajectories on the sphere without changing
+their direction field.  Each recorded sample carries its soliton
+residual, taken from the right-hand side already computed for it.
 """
 
 import numpy as np
@@ -32,40 +35,42 @@ __all__ = [
     "integrate",
 ]
 
-# Dormand-Prince 5(4) tableau; stage 7 equals the 5th-order solution,
-# so the last error coefficient folds in the b* weight of stage 7.
-BUTCHER_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+# Dormand-Prince 5(4) tableau: stage s evaluates the right-hand side at
+# y + dt * A[s, :s] @ K[:s]; stage 7 equals the 5th-order solution, so
+# the last error coefficient folds in the b* weight of stage 7.
+BUTCHER_A = np.zeros((7, 7))
+BUTCHER_A[np.tril_indices(7, -1)] = [
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 
-BUTCHER_A = {
-    1: [1 / 5],
-    2: [3 / 40, 9 / 40],
-    3: [44 / 45, -56 / 15, 32 / 9],
-    4: [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    5: [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    6: [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-}
-
-WEIGHTS = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+WEIGHTS = BUTCHER_A[6]
 
 # difference between 5th- and 4th-order weights
-ERROR_COEFFS = [71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                -17253 / 339200, 22 / 525, -1 / 40]
+ERROR_COEFFS = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                         -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _flow_matrix(mu):
-    d = np.zeros((mu.dim, mu.dim))
-    d[mu.q:, mu.q:] = ricci_operator(mu)
-    return d
+def _rhs(c, q, ric):
+    """X - X^T01 - c D with X[i] = sum_a D[a, i] c[a], D = diag(0_q, ric)."""
+    n = ric.shape[0]
+    x = np.zeros(c.shape)
+    x[q:] = (ric @ c[q:].reshape(n, -1)).reshape(x[q:].shape)
+    rhs = x - x.swapaxes(0, 1)
+    rhs[..., q:] -= c[..., q:] @ ric
+    return rhs
 
 
-def _rhs(mu):
-    c = mu.float_c
-    d = _flow_matrix(mu)
-    rhs = (np.einsum("ai,ajk->ijk", d, c)
-           + np.einsum("bj,ibk->ijk", d, c)
-           - np.einsum("kb,ijb->ijk", d, c))
-    rhs = 0.5 * (rhs - np.swapaxes(rhs, 0, 1))
-    return Bracket(mu.q, mu.n, rhs)
+def _residual(c, rhs):
+    """||rhs - (<rhs, c> / ||c||^2) c|| / ||c||^3; 0.0 on the zero bracket."""
+    nrm2 = float(np.sum(c * c))
+    if nrm2 == 0.0:
+        return 0.0
+    res = rhs - (float(np.sum(rhs * c)) / nrm2) * c
+    return float(np.sqrt(np.sum(res * res))) / nrm2 ** 1.5
 
 
 def bracket_flow_rhs(mu):
@@ -74,7 +79,7 @@ def bracket_flow_rhs(mu):
     Requires a membership-passing bracket; raises ValueError otherwise.
     """
     require_member(mu)
-    return _rhs(mu)
+    return Bracket(mu.q, mu.n, _rhs(mu.float_c, mu.q, ricci_operator(mu)))
 
 
 def soliton_residual(mu):
@@ -88,13 +93,9 @@ def soliton_residual(mu):
     """
     require_member(mu)
     c = mu.float_c
-    nrm2 = float(np.sum(c * c))
-    if nrm2 == 0.0:
+    if float(np.sum(c * c)) == 0.0:
         raise ValueError("soliton residual is undefined for the zero bracket")
-    rhs = _rhs(mu).c
-    coeff = float(np.sum(rhs * c)) / nrm2
-    res = rhs - coeff * c
-    return float(np.sqrt(np.sum(res * res))) / nrm2 ** 1.5
+    return _residual(c, _rhs(c, mu.q, ricci_operator(mu)))
 
 
 class FlowSample:
@@ -104,17 +105,19 @@ class FlowSample:
     normalized flow (1.0 throughout for the plain flow).  The ODE keeps
     every component with an isotropy input slot constant, so dividing
     such components by scale recovers their initial values up to
-    integrator error.
+    integrator error.  residual is soliton_residual of the state (0.0
+    for the zero bracket), computed from the right-hand side in hand.
     """
 
-    __slots__ = ("t", "bracket", "norm", "ricci_eigenvalues", "scale")
+    __slots__ = ("t", "bracket", "norm", "ricci_eigenvalues", "scale", "residual")
 
-    def __init__(self, t, bracket, norm, ricci_eigenvalues, scale=1.0):
+    def __init__(self, t, bracket, norm, ricci_eigenvalues, scale=1.0, residual=0.0):
         self.t = t
         self.bracket = bracket
         self.norm = norm
         self.ricci_eigenvalues = ricci_eigenvalues
         self.scale = scale
+        self.residual = residual
 
 
 class FlowTrajectory:
@@ -160,11 +163,14 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         raise ValueError("t_end must be positive")
     require_member(mu0)
     q, n = mu0.q, mu0.n
-    dim = mu0.dim
-    shape = (dim, dim, dim)
+    shape = (mu0.dim,) * 3
 
+    # perfbench/layers.py counts RHS evaluations and accepted steps from
+    # the calls of this module's ricci_operator: one per right-hand side,
+    # one per sample, each on a Bracket that checks the state is valid.
     def f(y):
-        return _rhs(Bracket(q, n, y.reshape(shape))).c.ravel()
+        c = y.reshape(shape)
+        return _rhs(c, q, ricci_operator(Bracket(q, n, c))).ravel()
 
     y = mu0.as_float().ravel()
     scale = 1.0
@@ -175,29 +181,29 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         y = y / nrm
         scale = 1.0 / nrm
 
-    def sample(t, y):
-        mu = Bracket(q, n, y.reshape(shape).copy())
+    def sample(t, y, fy):
+        mu = Bracket(q, n, y.reshape(shape))
         eigs = np.sort(np.linalg.eigvalsh(ricci_operator(mu)))[::-1]
-        return FlowSample(t, mu, float(np.linalg.norm(y)), eigs, scale)
+        return FlowSample(t, mu, float(np.linalg.norm(y)), eigs, scale, _residual(y, fy))
 
-    samples = [sample(0.0, y)]
     t = 0.0
     fy = f(y)
+    samples = [sample(0.0, y, fy)]
     scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
     dt = min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01
     dt = min(dt, t_end)
     steps = 0
     accepted = 0
     status = "max_steps"
+    k = np.empty((7, y.size))
 
     while steps < max_steps:
         steps += 1
-        k = [fy]
+        k[0] = fy
         for s in range(1, 7):
-            ys = y + dt * sum(a * ki for a, ki in zip(BUTCHER_A[s], k))
-            k.append(f(ys))
-        y_new = y + dt * sum(w * ki for w, ki in zip(WEIGHTS, k))
-        err = dt * sum(e * ki for e, ki in zip(ERROR_COEFFS, k))
+            k[s] = f(y + dt * (BUTCHER_A[s, :s] @ k[:s]))
+        y_new = y + dt * (WEIGHTS @ k)
+        err = dt * (ERROR_COEFFS @ k)
         tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = np.sqrt(np.mean((err / tol) ** 2))
 
@@ -212,11 +218,11 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
             accepted += 1
             done = t >= t_end - 1e-12 * max(1.0, t_end)
             if np.linalg.norm(y) > blow_up:
-                samples.append(sample(t, y))
+                samples.append(sample(t, y, fy))
                 status = "blow_up_detected"
                 break
             if done or accepted % record_stride == 0:
-                samples.append(sample(t, y))
+                samples.append(sample(t, y, fy))
             if done:
                 status = "completed"
                 break
@@ -226,10 +232,10 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         if t + dt > t_end:
             dt = t_end - t
         if dt < 1e-14 * max(1.0, abs(t)):
-            samples.append(sample(t, y))
+            samples.append(sample(t, y, fy))
             status = "step_underflow"
             break
 
     if status == "max_steps" and samples[-1].t < t:
-        samples.append(sample(t, y))
+        samples.append(sample(t, y, fy))
     return FlowTrajectory(status, samples, q, n)

@@ -335,3 +335,17 @@ def test_default_tolerance_tracks_norm():
     big = br.milnor_bracket(100.0, 100.0, 100.0)
     assert br.default_tolerance(big) > br.default_tolerance(small)
     assert br.default_tolerance(small) == pytest.approx(1e-10 * (1 + 6.0))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+@pytest.mark.parametrize("mu", [
+    br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
+    br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0),
+    br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+], ids=["circle3", "circle5", "aloff_wallach"])
+def test_membership_is_scale_free(mu, scale):
+    # the (h4) rank threshold is relative to sigma_max, so a member stays
+    # one under mu -> scale * mu also where tol = 1e-10 (1 + |mu|^2) >= 1
+    scaled = br.Bracket(mu.q, mu.n, scale * mu.c, family=mu.family, params=mu.params)
+    rep = br.check_membership(scaled)
+    assert rep.passed and rep.h4_kernel_dim == 0

@@ -211,6 +211,46 @@ def test_flow_singularity_exits_2(su2_file, capsys):
     assert "status:" in err
 
 
+def test_flow_q1_blow_up_exits_2_with_partial_csv(tmp_path, capsys):
+    # the plain flow reaches |mu| > 1e8 near t = 0.219; the recorded
+    # states keep passing the membership check all the way there
+    path = str(tmp_path / "c5.json")
+    br.write_bracket(path, br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1))
+    out_csv = tmp_path / "blow_up.csv"
+    code = main(["flow", path, "--t-end", "0.3", "--constants",
+                 "--output", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "status: blow_up_detected" in err
+    assert "error:" not in err
+    with open(out_csv, newline="") as fh:
+        assert fh.readline() == "# q=1 n=5\n"
+        rows = list(csv.reader(fh))
+    assert len(rows) > 10
+    assert 0.2 < float(rows[-1][0]) < 0.3
+    assert float(rows[-1][1]) > 1e8
+
+
+def test_main_calls_in_one_process_are_independent(su2_file, nonmember_file, capsys):
+    # the parser is built once and shared; every call parses into a
+    # fresh namespace, so no option or default carries over
+    argvs = [["check", nonmember_file],
+             ["flow", su2_file, "--t-end", "0.5", "--normalized"],
+             ["check", su2_file],
+             ["flow", su2_file, "--t-end", "0.5"]]
+    results = {}
+    for argv in argvs + argvs[::-1]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.setdefault(tuple(argv), []).append((code, captured.out, captured.err))
+    for runs in results.values():
+        assert runs[0] == runs[1]
+    assert results[tuple(argvs[0])][0][1].endswith("membership           : FAIL\n")
+    assert "status: completed" in results[tuple(argvs[1])][0][2]
+    assert results[tuple(argvs[2])][0][1].endswith("membership           : PASS\n")
+    assert results[tuple(argvs[3])][0][0] == 0
+
+
 def test_flow_constants_roundtrip_and_resume(tmp_path, capsys):
     mu_file = str(tmp_path / "mu.json")
     br.write_bracket(mu_file, br.milnor_bracket(1.0, 0.5, 0.25))

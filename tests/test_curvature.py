@@ -86,6 +86,44 @@ def test_moment_map_ricci_cross_check(seed):
     assert np.allclose(cu.ricci_operator(mu), lauret_ricci(mu), atol=1e-10)
 
 
+RICCI_CASES = {
+    "milnor": br.milnor_bracket(1.0, 0.5, 0.25),
+    "circle3": br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
+    "circle5": br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
+    "aloff_wallach": br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+    "exact_milnor": br.milnor_bracket(Fraction(1, 3), 1, 2),
+    **{f"random_q0_n{n}_{s}": br.random_member(0, n, seed=s)
+       for n in (3, 4, 5, 6) for s in range(2)},
+    **{f"random_q1_n3_{s}": br.random_member(1, 3, seed=s) for s in range(2)},
+}
+
+
+@pytest.mark.parametrize("mu", RICCI_CASES.values(), ids=RICCI_CASES.keys())
+def test_ricci_operator_equals_contracted_riemann(mu):
+    # ricci_operator contracts the constants directly; the trace of the
+    # full algebraic Riem is the reference
+    want = cu._ricci(cu.riemann_origin(mu))
+    got = cu.ricci_operator(mu)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def moment_map_ricci(c):
+    """Ric = M - B/2 - S(ad H) for q = 0, as whole-array contractions."""
+    m = (-0.5 * np.einsum("xab,yab->xy", c, c)
+         + 0.25 * np.einsum("abx,aby->xy", c, c))
+    killing = np.einsum("xab,yba->xy", c, c)
+    adh = np.einsum("k,kvu->uv", np.einsum("kaa->k", c), c)
+    return m - 0.5 * killing - 0.5 * (adh + adh.T)
+
+
+@pytest.mark.parametrize("mu", [mu for mu in RICCI_CASES.values() if mu.q == 0],
+                         ids=[k for k, mu in RICCI_CASES.items() if mu.q == 0])
+def test_ricci_operator_equals_moment_map_form(mu):
+    want = moment_map_ricci(mu.float_c)
+    got = cu.ricci_operator(mu)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("mu", [
     br.milnor_bracket(1.0, 0.5, 0.25),
     br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),

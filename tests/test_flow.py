@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import homlie.brackets as br
+import homlie.curvature as cu
 import homlie.flow as fl
 from helpers import conjugated_flow_derivative
 
@@ -29,6 +30,33 @@ def test_rhs_matches_conjugation_derivative(mu):
     rhs = fl.bracket_flow_rhs(mu)
     assert rhs.q == mu.q and rhs.n == mu.n
     assert np.allclose(rhs.c, conjugated_flow_derivative(mu), atol=1e-7)
+
+
+def three_einsum_rhs(mu):
+    """The flow right-hand side term by term, with D = diag(0_q, Ric)."""
+    d = np.zeros((mu.dim, mu.dim))
+    d[mu.q:, mu.q:] = cu.ricci_operator(mu)
+    c = mu.float_c
+    rhs = (np.einsum("ai,ajk->ijk", d, c)
+           + np.einsum("bj,ibk->ijk", d, c)
+           - np.einsum("kb,ijb->ijk", d, c))
+    return 0.5 * (rhs - np.swapaxes(rhs, 0, 1))
+
+
+@pytest.mark.parametrize("mu", [
+    br.milnor_bracket(1.0, 0.5, 0.25),
+    br.milnor_bracket(2 ** -0.5, 0.0, 0.0),
+    br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
+    br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
+    br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+    br.random_member(0, 5, seed=3),
+    br.random_member(1, 3, seed=1),
+], ids=["milnor", "h3unit", "circle3", "circle5", "aloff_wallach",
+        "random_q0_n5", "random_q1_n3"])
+def test_rhs_equals_three_einsum_formula(mu):
+    want = three_einsum_rhs(mu)
+    got = fl.bracket_flow_rhs(mu).c
+    assert np.max(np.abs(got - want)) <= 1e-14 * mu.norm() ** 3
 
 
 def test_rhs_on_nilpotent_soliton_is_a_multiple():
@@ -230,3 +258,16 @@ def test_trajectory_api():
     assert "completed" in repr(traj)
     s = traj.samples[0]
     assert s.ricci_eigenvalues == pytest.approx([0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("mu, normalized", [
+    (br.circle_isotropy3(0.8, -0.3, 1.1, 0.7), False),
+    (br.milnor_bracket(1.0, 0.5, 0.25), True),
+], ids=["circle3", "milnor_normalized"])
+def test_sample_residual_equals_soliton_residual(mu, normalized):
+    # integrate fills each sample's residual from the right-hand side it
+    # already holds for that state; it is the public function's value
+    traj = fl.integrate(mu, 2.0, normalized=normalized)
+    assert len(traj.samples) > 10
+    for s in traj.samples:
+        assert s.residual == fl.soliton_residual(s.bracket)
