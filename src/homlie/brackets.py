@@ -146,10 +146,6 @@ class Bracket:
     def norm(self):
         return bracket_norm(self)
 
-    def retag(self, family, params=None):
-        """Copy with a replaced family tag."""
-        return Bracket(self.q, self.n, self.c, family=family, params=params)
-
     @classmethod
     def from_entries(cls, q, n, entries, family=None, params=None):
         """Build from sparse entries [(i, j, k, value), ...] with i < j.

@@ -342,11 +342,18 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
         ctor = FAMILY_CONSTRUCTORS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
+    if topology_pairs is not None and len(topology_pairs) != len(params_seq):
+        raise ValueError(f"{len(topology_pairs)} topology pairs for "
+                         f"{len(params_seq)} parameter tuples")
     limit_member = check_membership(limit).passed
     f_limit = scalar_invariants(limit, invariant_count) if limit_member else None
     rows = []
     for idx, params in enumerate(params_seq):
-        mu = ctor(*params)
+        try:
+            mu = ctor(*params)
+        except TypeError as exc:
+            raise ValueError(f"cannot build a {family} member from {tuple(params)}: "
+                             f"{exc}") from None
         rep = check_membership(mu)
         row = {
             "index": idx,

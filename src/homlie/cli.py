@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 on validation problems (bad arguments,
 unreadable files, preconditions not met), 2 on numerical failure
 (blow-up or step underflow during flow integration).  Output is plain
-text or CSV and is deterministic for fixed arguments and seed.
+text or CSV and is deterministic for fixed arguments.
 """
 
 import argparse
@@ -91,9 +91,7 @@ def cmd_distance(args):
     lam = br.read_bracket(args.other)
     if mu.n != lam.n:
         return _fail("tangent dimensions differ")
-    d = cu.invariant_distance(mu, lam, order=args.order,
-                              restarts=args.restarts, seed=args.seed)
-    print(f"{d!r}")
+    print(f"{cu.invariant_distance(mu, lam, order=args.order)!r}")
     return 0
 
 
@@ -113,16 +111,23 @@ def _read_trajectory_sample(path):
     """Last recorded state of a trajectory CSV written with --constants."""
     with open(path, newline="") as fh:
         meta = fh.readline().strip()
-        if not meta.startswith("# q="):
-            raise ValueError(
-                f"{path} has no '# q=.. n=..' line; resume needs a "
-                "trajectory written with --constants")
+        rows = list(csv.reader(fh))
+    try:
         parts = dict(tok.split("=") for tok in meta[2:].split())
         q, n = int(parts["q"]), int(parts["n"])
-        rows = list(csv.reader(fh))
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"{path} starts with {meta!r}, not '# q=.. n=..'; resume needs a "
+            "trajectory written with --constants") from None
+    if q < 0 or n < 1 or q + n > br.MAX_DIM:
+        raise ValueError(f"{path}: need q >= 0, n >= 1 and q + n <= {br.MAX_DIM}, "
+                         f"got q = {q}, n = {n}")
     if len(rows) < 2:
         raise ValueError(f"{path} has no trajectory rows to resume from")
     header, last = rows[0], rows[-1]
+    if len(last) != len(header):
+        raise ValueError(f"{path}: the last row has {len(last)} fields, "
+                         f"the header {len(header)}")
     dim = q + n
     c = np.zeros((dim, dim, dim))
     for i, j, k in _constants_columns(dim):
@@ -178,13 +183,25 @@ def _parse_params(text):
         tok = tok.strip()
         if not tok:
             continue
-        if "/" in tok:
-            out.append(Fraction(tok))
-        elif tok.lstrip("+-").isdigit():
-            out.append(int(tok))
-        else:
-            out.append(float(tok))
+        try:
+            if "/" in tok:
+                out.append(Fraction(tok))
+            elif tok.lstrip("+-").isdigit():
+                out.append(int(tok))
+            else:
+                out.append(float(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad parameter {tok!r} in {text!r}") from None
     return out
+
+
+def _parse_pair(text):
+    """An integer pair written p:q."""
+    try:
+        p, q = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"expected an integer pair p:q, got {text!r}") from None
+    return p, q
 
 
 def cmd_family(args):
@@ -245,9 +262,9 @@ def cmd_sequence(args):
     pairs = None
     limit_pair = None
     if args.pairs:
-        pairs = [tuple(int(x) for x in p.split(":")) for p in args.pairs.split(";") if p.strip()]
+        pairs = [_parse_pair(p) for p in args.pairs.split(";") if p.strip()]
     if args.limit_pair:
-        limit_pair = tuple(int(x) for x in args.limit_pair.split(":"))
+        limit_pair = _parse_pair(args.limit_pair)
     try:
         rows = cl.sequence_diagnostics(args.family, params_seq, limit,
                                        topology_pairs=pairs, limit_pair=limit_pair)
@@ -417,8 +434,6 @@ def build_parser():
     p.add_argument("bracket")
     p.add_argument("other")
     p.add_argument("--order", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("jet", help="metric Taylor coefficients")

@@ -284,7 +284,13 @@ class InjectivityBound:
                 f"heuristic={self.heuristic})")
 
 
-def is_completely_solvable(mu, seed=0, samples=64):
+# The refutation test of is_completely_solvable samples ad(x) on the basis
+# vectors and on this many random unit directions, drawn from this seed.
+_REFUTATION_SAMPLES = 64
+_REFUTATION_SEED = 0
+
+
+def is_completely_solvable(mu):
     """Certify or refute that every ad(x) has only real eigenvalues.
 
     Only meaningful for q = 0 (Lie groups).  Returns one of
@@ -320,9 +326,9 @@ def is_completely_solvable(mu, seed=0, samples=64):
         u, _, _ = np.linalg.svd(images)
         span = u[:, :rank]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_REFUTATION_SEED)
     directions = list(np.eye(dim))
-    for _ in range(samples):
+    for _ in range(_REFUTATION_SAMPLES):
         v = rng.standard_normal(dim)
         directions.append(v / np.linalg.norm(v))
     for x in directions:
@@ -334,7 +340,7 @@ def is_completely_solvable(mu, seed=0, samples=64):
     return "unknown"
 
 
-def injectivity_bound(mu, seed=0):
+def injectivity_bound(mu):
     """Lower bound for the injectivity radius at the base point.
 
     For q = 0 a certified nilpotent bracket gives an infinite bound (the
@@ -343,7 +349,7 @@ def injectivity_bound(mu, seed=0):
     q > 0, flagged accordingly.
     """
     if mu.q == 0:
-        if is_completely_solvable(mu, seed=seed) == "certified":
+        if is_completely_solvable(mu) == "certified":
             return InjectivityBound(math.inf, "completely_solvable", False)
         nrm = bracket_norm(mu)
         if nrm == 0.0:

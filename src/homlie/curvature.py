@@ -47,13 +47,15 @@ orbit distance
     d(mu, lam) = min_{h in O(n)} || h . w_mu - w_lam ||
 
 vanishes exactly on pairs related by an orthogonal change of tangent
-basis.  Such an h also carries the Ricci eigenframe of mu onto that of
-lam, so the minimum is sought over a finite set of frame alignments
-(exact for a simple Ricci spectrum, seeded random block rotations on
-repeated eigenspaces) followed by one least-squares polish.  The
-alignments are scored in the two eigenframes, where a sign change of
-the frame only flips the signs of parity classes of entries: the 2^n
-sign vectors cost one rotation and two class sums per block rotation,
+basis.  Such an h also carries every O(n)-equivariant frame of w_mu onto
+that of w_lam.  The frame used is the Ricci eigenframe with each repeated
+eigenspace split by the symmetric 2-tensors contracted from Riem,
+nabla Riem, ...; the minimum is sought over its 2^n sign changes and
+then polished once by least squares, with no randomness.  The candidates
+are exact when the refined spectrum is simple or every block left
+repeated is rotated by a symmetry; otherwise the result is only an
+upper bound.  In the two frames a sign change only flips the signs of
+parity classes of entries, so the 2^n sign vectors cost two class sums,
 and n is capped at MAX_ORBIT_DIM.
 """
 
@@ -274,31 +276,44 @@ def rotate_tensor(h, t):
     return out.reshape(t.shape)
 
 
-# Neighbouring Ricci eigenvalues of mu closer than this, relative to the
-# largest |eigenvalue|, are treated as one eigenspace.  Rounding splits a
+# Neighbouring eigenvalues closer than this, relative to the largest
+# |eigenvalue|, are treated as one eigenspace.  Rounding splits a
 # repeated eigenvalue by about 1e-15 relative, and below this gap the
 # eigenvectors themselves are too ill-conditioned (error ~ 1e-16 / gap)
 # to be matched one by one.
 _CLUSTER_GAP = 1e-6
 
 
-def _block_rotations(eigenvalues, restarts, seed):
-    """Identity, plus `restarts` Haar-random rotations of each repeated
-    eigenspace of an ascending spectrum (none if the spectrum is simple)."""
-    n = eigenvalues.size
-    tol = _CLUSTER_GAP * float(np.max(np.abs(eigenvalues)))
-    cuts = [0] + [i for i in range(1, n)
-                  if eigenvalues[i] - eigenvalues[i - 1] > tol] + [n]
-    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
-    out = [np.eye(n)]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts if blocks else 0):
-        b = np.eye(n)
+def _invariant_frame(w):
+    """Orthonormal frame U (columns) of R^n read off the fingerprint w.
+
+    Starting from one block, R^n, each block still repeated is
+    diagonalized by Ric, then by P_k = sum_s W_(s) W_(s)^T for k = 0, 1,
+    ..., W_(s) the mode-s unfolding of nabla^k Riem, and split at the gaps
+    of its ascending eigenvalues (a block that does not split keeps its
+    frame), until every block is one-dimensional or the orders run out.
+    Ric and each P_k are O(n)-equivariant, so the frame of h . w is h U up
+    to column signs, and up to a rotation of each block left repeated.
+    """
+    n = w[0].shape[0]
+    u, blocks = np.eye(n), [(0, n)]
+    forms = itertools.chain([_ricci(w[0])], (
+        sum(np.tensordot(t, t, 2 * [[a for a in range(t.ndim) if a != s]])
+            for s in range(t.ndim)) for t in w))
+    for p in forms:
+        tol = _CLUSTER_GAP * np.linalg.norm(p, 2)
+        refined = []
         for lo, hi in blocks:
-            g, r = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
-            b[lo:hi, lo:hi] = g * np.sign(np.diag(r))
-        out.append(b)
-    return out
+            b = u[:, lo:hi]
+            values, v = np.linalg.eigh(b.T @ p @ b)
+            cuts = [i for i in range(1, hi - lo) if values[i] - values[i - 1] > tol]
+            if cuts:
+                u[:, lo:hi] = b @ v
+            refined += [(lo + i, lo + j) for i, j in zip([0] + cuts, cuts + [hi - lo])]
+        blocks = refined
+        if len(blocks) == n:
+            break
+    return u
 
 
 # Largest tangent dimension invariant_distance accepts: the sign vectors
@@ -306,73 +321,53 @@ def _block_rotations(eigenvalues, restarts, seed):
 MAX_ORBIT_DIM = 12
 
 
-def _sign_scores(a, c, rotations):
-    """Squared misfits || diag(s) B . a - c ||^2 for every B in `rotations`
-    and, for each B, every sign vector s in itertools.product order.
+def _sign_scores(a, c):
+    """Squared misfits || diag(s) . a - c ||^2 for every sign vector s, in
+    itertools.product order.
 
-    a and c are lists of tensors in the Ricci eigenframes.  diag(s)
+    a and c are lists of tensors in the invariant frames.  diag(s)
     multiplies the entry at (i_1, ..., i_k) by prod_j s_j over the axes j
     that occur an odd number of times in the index, its parity class.
-    Summing (x - c)^2 and (x + c)^2 per class, x = B . a, gives every
-    sign vector's score from one rotation and two bincounts; all terms
-    are non-negative, so nothing cancels.
+    Summing (a - c)^2 and (a + c)^2 per class gives every sign vector's
+    score from two bincounts; all terms are non-negative, so nothing
+    cancels.
     """
     n = a[0].shape[0]
     bits = 1 << np.arange(n)
-    codes = [functools.reduce(np.bitwise_xor, np.ix_(*[bits] * t.ndim)).ravel()
-             for t in a]
     size = 2 ** n
-    classes = np.flatnonzero(sum(np.bincount(code, minlength=size) for code in codes))
+    keep = swap = 0
+    for ta, tc in zip(a, c):
+        code = functools.reduce(np.bitwise_xor, np.ix_(*[bits] * ta.ndim)).ravel()
+        x, y = ta.ravel(), tc.ravel()
+        keep = keep + np.bincount(code, (x - y) ** 2, size)
+        swap = swap + np.bincount(code, (x + y) ** 2, size)
+    classes = np.flatnonzero(keep + swap)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     member = (classes >> np.arange(n)[:, None]) & 1        # member[j, class]
     flip = (((signs < 0) @ member) % 2).astype(float)     # s negates the class
-    keep_rows = 1.0 - flip
-    out = []
-    for b in rotations:
-        keep = swap = 0
-        for code, ta, tc in zip(codes, a, c):
-            x = rotate_tensor(b, ta).ravel()
-            tc = tc.ravel()
-            keep = keep + np.bincount(code, (x - tc) ** 2, size)
-            swap = swap + np.bincount(code, (x + tc) ** 2, size)
-        out.append(keep_rows @ keep[classes] + flip @ swap[classes])
-    return np.concatenate(out), signs
+    return (1.0 - flip) @ keep[classes] + flip @ swap[classes], signs
 
 
-def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
+def invariant_distance(mu, lam, order=1):
     """Distance between rotation orbits of curvature fingerprints.
 
-    Minimizes || h . w_mu - w_lam || over h in O(n).  If h . w_mu = w_lam
-    then h carries the Ricci eigenframe U_mu of mu onto that of lam, so
-    the candidates are the identity and h = U_lam diag(s) B U_mu^T for
-    every sign vector s in {+-1}^n (both components of O(n)).  B is the
-    identity and, when the Ricci spectrum of mu has a repeated eigenvalue,
-    also `restarts` block-diagonal rotations, Haar-random on each repeated
-    eigenspace and drawn from `seed`.  A Levenberg-Marquardt pass on the
+    Minimizes || h . w_mu - w_lam || over h in O(n), n at most
+    MAX_ORBIT_DIM.  The candidates are the identity and
+    h = U_lam diag(s) U_mu^T for every sign vector s in {+-1}^n, U the
+    invariant frames of the two fingerprints (_invariant_frame), scored
+    in those frames (_sign_scores).  A Levenberg-Marquardt pass on the
     entry-wise residuals, h = h0 expm(S(theta)), polishes the best
-    candidate h0 (the first one on a tie).
+    candidate h0 (the first one on a tie); the smaller misfit is returned.
 
-    The candidates are scored in the eigenframes: with A = U_mu^T . w_mu
-    and C = U_lam^T . w_lam, || h . w_mu - w_lam || = || diag(s) B . A - C ||,
-    and diag(s) only changes the signs of whole parity classes of
-    entries, so each B costs one rotation of A whatever the number of
-    sign vectors (see _sign_scores).  n is at most MAX_ORBIT_DIM.
-
-    With a simple spectrum the candidate set is exact: it holds every h
-    that matches the Ricci forms, so a rotated pair is found.  With a
-    repeated eigenvalue the random block rotations are a heuristic, and
-    `restarts` and `seed` matter only there: a 3-dimensional eigenspace
-    that no symmetry rotates can be missed (circle_isotropy5(1, 2, 1, 2,
-    1, -1, 1, -1), Ricci spectrum 1, 1, 2.5, 2.5, 2.5, against itself in
-    random frames gives 0.7 to 5.0 instead of 0).  On distinct spaces no h
-    matches and the polished alignment is only a local minimum.  The
-    result is an upper bound for the true orbit distance, never above
-    || w_mu - w_lam ||; identical arguments give identical output.
+    The candidate set is exact when the refined spectrum is simple, or
+    when every block left repeated is rotated by a symmetry (any frame of
+    it then matches), so a rotated pair gives rounding-level output.
+    Otherwise, and always on distinct spaces, the result is only an upper
+    bound for the true orbit distance, never above || w_mu - w_lam ||.
+    Identical arguments give identical output.
     """
     if mu.n != lam.n:
         raise ValueError("fingerprint comparison needs matching tangent dimensions")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = mu.n
     if n > MAX_ORBIT_DIM:
         raise ValueError(f"orbit distance needs n <= MAX_ORBIT_DIM = {MAX_ORBIT_DIM} "
@@ -392,18 +387,12 @@ def invariant_distance(mu, lam, order=1, restarts=16, seed=0):
         s[upper] = theta
         return misfit(h0 @ expm(s - s.T))
 
-    eva, ua = np.linalg.eigh(_ricci(wa[0]))
-    _, ub = np.linalg.eigh(_ricci(wb[0]))
-    rotations = _block_rotations(eva, restarts, seed)
+    ua, ub = _invariant_frame(wa), _invariant_frame(wb)
     scores, signs = _sign_scores([rotate_tensor(ua.T, t) for t in wa],
-                                 [rotate_tensor(ub.T, t) for t in wb], rotations)
+                                 [rotate_tensor(ub.T, t) for t in wb])
     values = np.concatenate([[np.linalg.norm(misfit(np.eye(n)))], np.sqrt(scores)])
     best = int(np.argmin(values))
-    if best == 0:
-        h0 = np.eye(n)
-    else:
-        b, s = divmod(best - 1, len(signs))
-        h0 = ub @ (signs[s][:, None] * rotations[b]) @ ua.T
+    h0 = np.eye(n) if best == 0 else ub @ (signs[best - 1][:, None] * ua.T)
     fit = least_squares(residuals, np.zeros(n * (n - 1) // 2),
                         args=(h0,), method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)

@@ -79,7 +79,7 @@ def test_distance_between_rotated_copies(tmp_path, capsys):
     b = tmp_path / "b.json"
     br.write_bracket(a, mu)
     br.write_bracket(b, br.gl_action(h, mu))
-    argv = ["distance", str(a), str(b), "--restarts", "8"]
+    argv = ["distance", str(a), str(b)]
     assert main(argv) == 0
     first = capsys.readouterr().out.strip()
     assert float(first) <= 1e-6
@@ -92,11 +92,6 @@ def test_distance_dimension_mismatch(tmp_path, su2_file, capsys):
     br.write_bracket(other, br.random_member(0, 4, seed=1))
     assert main(["distance", su2_file, str(other)]) == 1
     assert "dimensions differ" in capsys.readouterr().err
-
-
-def test_distance_rejects_negative_restarts(su2_file, capsys):
-    assert main(["distance", su2_file, su2_file, "--restarts", "-1"]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_check_rejects_entry_that_is_not_a_list(tmp_path, capsys):
@@ -398,6 +393,43 @@ def test_sequence_sweep_alias(h3_file, capsys):
     assert code == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
     assert rows[0][0] == "index" and len(rows) == 3
+
+
+def _short_last_row(path):
+    rows = ["t,norm,soliton_residual,ric_1,ric_2,ric_3,c_0_1_0,c_0_1_1,c_0_1_2,"
+            "c_0_2_0,c_0_2_1,c_0_2_2,c_1_2_0,c_1_2_1,c_1_2_2",
+            "0.0,1.0,0.0,0.5,0.5,0.5,0.0,0.0,1.0,0.0,-1.0,0.0,1.0,0.0,0.0",
+            "0.1,1.0,0.0,0.5"]
+    path.write_text("# q=0 n=3\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "milnor", "--params", "1/0,1,1"],
+    ["sequence", "milnor", "--params-list", "1,1/0,1", "--limit", "H3"],
+    ["sequence", "milnor", "--params-list", "1,1", "--limit", "H3"],
+    ["sequence", "milnor", "--params-list", "1,1,1;1,2,2", "--limit", "H3",
+     "--pairs", "1:2", "--limit-pair", "1:1"],
+    ["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
+     "--pairs", "1:2", "--limit-pair", "1"],
+    ["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
+     "--pairs", "1", "--limit-pair", "1:1"],
+    ["flow", "NO_N", "--resume", "--t-end", "0.5"],
+    ["flow", "SHORT_ROW", "--resume", "--t-end", "0.5"],
+    ["flow", "HUGE_N", "--resume", "--t-end", "0.5"],
+], ids=["zero_denominator", "sequence_zero_denominator", "too_few_params",
+        "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
+        "resume_oversized"])
+def test_malformed_input_exits_1_without_traceback(argv, h3_file, tmp_path, capsys):
+    (tmp_path / "no_n.csv").write_text("# q=0 x=3\nt,norm\n0.0,1.0\n")
+    # q + n above brackets.MAX_DIM is refused before anything is allocated
+    (tmp_path / "huge.csv").write_text("# q=0 n=1000000\nt,norm\n0.0,1.0\n")
+    _short_last_row(tmp_path / "short.csv")
+    files = {"H3": h3_file, "NO_N": str(tmp_path / "no_n.csv"),
+             "SHORT_ROW": str(tmp_path / "short.csv"), "HUGE_N": str(tmp_path / "huge.csv")}
+    assert main([files.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_reproduce_writes_named_csv(tmp_path):
