@@ -260,12 +260,12 @@ def check_membership(mu, tol=None):
         tol = default_tolerance(mu)
     q, n = mu.q, mu.n
     c = mu.float_c
-    jac = float(np.max(np.abs(jacobiator(mu)))) if mu.dim > 0 else 0.0
+    jac = float(np.max(np.abs(jacobiator(mu))))
 
     # mu(R^q, R^q) subset R^q and mu(R^q, R^n) subset R^n
     sub = 0.0
     if q > 0:
-        sub = max(sub, float(np.max(np.abs(c[:q, :q, q:]))) if n > 0 else 0.0)
+        sub = max(sub, float(np.max(np.abs(c[:q, :q, q:]))))
         sub = max(sub, float(np.max(np.abs(c[:q, q:, :q]))))
 
     # skewness of ad(z) on the tangent block
@@ -624,6 +624,23 @@ MAX_DIM = 32
 # leaves a factor of 1e8 before any of them overflows a float.
 MAX_NORM_SQ = 1e300
 
+# Most digits an exact document value may spell out, counting its decimal
+# exponent: Fraction("1e999999999") would build a billion-digit integer.
+MAX_EXACT_DIGITS = 1000
+
+
+def _bounded_digits(text):
+    """text, once its digit count is known to be at most MAX_EXACT_DIGITS."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        digits = len(mantissa) + abs(int(exponent or 0))
+    except ValueError:
+        digits = len(text)      # not a number; Fraction says so if it is short
+    if digits > MAX_EXACT_DIGITS:
+        raise ValueError(f"exact value {text[:24]!r} has more than "
+                         f"MAX_EXACT_DIGITS = {MAX_EXACT_DIGITS} digits")
+    return text
+
 
 def bracket_from_dict(data):
     """Bracket from a document {"q", "n", "entries": [[i, j, k, value], ...]}.
@@ -632,7 +649,9 @@ def bracket_from_dict(data):
     "-3", "0.25").  When every value is a string the bracket is exact,
     otherwise it is float.  String values in "params" are read as
     Fractions too.  q + n and ||mu||^2 (at most MAX_DIM and
-    MAX_NORM_SQ) are checked before the dense array is allocated.
+    MAX_NORM_SQ) are checked before the dense array is allocated, and
+    the digits of every string (at most MAX_EXACT_DIGITS) before it is
+    parsed.
     """
     try:
         q = int(data["q"])
@@ -654,12 +673,13 @@ def bracket_from_dict(data):
         raise ValueError(f"malformed bracket document: params is not an object: {params!r}")
     if params:
         try:
-            params = {k: Fraction(v) if isinstance(v, str) else v for k, v in params.items()}
+            params = {k: Fraction(_bounded_digits(v)) if isinstance(v, str) else v
+                      for k, v in params.items()}
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed bracket document: params: {exc}") from exc
-    exact = len(entries) > 0 and all(
-        isinstance(ent, (list, tuple)) and len(ent) == 4 and isinstance(ent[3], str)
-        for ent in entries)
+    strings = [_bounded_digits(ent[3]) for ent in entries
+               if isinstance(ent, (list, tuple)) and len(ent) == 4 and isinstance(ent[3], str)]
+    exact = 0 < len(strings) == len(entries)
     values = {}
     for ent in entries:
         try:

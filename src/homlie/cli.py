@@ -22,9 +22,6 @@ from . import coordinates as co
 from . import curvature as cu
 from . import flow as fl
 
-CSV_FMT = "{!r}"
-
-
 def _fail(message, code=1):
     print(f"error: {message}", file=sys.stderr)
     return code

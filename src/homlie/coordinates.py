@@ -112,10 +112,17 @@ class MetricJet:
         return {"q": self.q, "n": self.n, "degree": self.degree, "entries": entries}
 
 
+# Most entries the product of a metric jet may gather: n^2 times the
+# C(degree + 2n, 2n) monomial pairs whose degrees fit, 32 MB in floats.
+# It admits n = 3 up to degree 22 and Aloff-Wallach (n = 7) up to degree 6.
+MAX_JET_ENTRIES = 4 * 10**6
+
+
 def metric_jet(mu, degree):
     """Taylor coefficients of the coordinate metric up to a total degree.
 
     Exact brackets give Fraction coefficients, float brackets float64.
+    Raises ValueError on a non-member or above MAX_JET_ENTRIES.
     Only the splitting and the structure constants enter; the purely
     isotropy-isotropy part of the bracket does not affect the result.
 
@@ -127,8 +134,11 @@ def metric_jet(mu, degree):
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    require_member(mu)
     q, n, dim = mu.q, mu.n, mu.dim
+    if n * n * math.comb(degree + 2 * n, 2 * n) > MAX_JET_ENTRIES:
+        raise ValueError(f"degree {degree} at n = {n} gathers {n}^2 C({degree + 2 * n}, {2 * n}) "
+                         f"product entries, above MAX_JET_ENTRIES = {MAX_JET_ENTRIES}")
+    require_member(mu)
     exact = mu.exact
     space = PolySpace(n, degree)
     c = mu.c
@@ -137,9 +147,9 @@ def metric_jet(mu, degree):
         c = to_integers(c, lcm)
         f = math.factorial(degree + 1)
         scale = np.array([(-1) ** m * f ** m // math.factorial(m + 1)
-                          for m in space.degrees.tolist()], dtype=object)
+                          for m in range(degree + 1)], dtype=object)
     else:
-        scale = np.array([(-1.0) ** m / math.factorial(m + 1) for m in space.degrees])
+        scale = np.array([(-1.0) ** m / math.factorial(m + 1) for m in range(degree + 1)])
 
     # ad(e_{q+k}) as (q+n) x (q+n) matrices
     ads = np.array([c[q + k].T for k in range(n)])
@@ -149,21 +159,10 @@ def metric_jet(mu, degree):
     # letter multiset alpha.  B_alpha = (-1)^m / (m+1)! W_alpha.
     w = np.zeros((space.size, dim, dim), dtype=c.dtype)
     w[0] = np.eye(dim, dtype=c.dtype)
-    for idx, alpha in enumerate(space.monomials):
-        m = sum(alpha)
-        if m == 0:
-            continue
-        acc = None
-        for k in range(n):
-            if alpha[k] == 0:
-                continue
-            beta = list(alpha)
-            beta[k] -= 1
-            prev = w[space.index[tuple(beta)]]
-            term = np.dot(prev, ads[k])
-            acc = term if acc is None else acc + term
-        w[idx] = acc
-    b = w * scale[:, None, None]
+    for m in range(1, degree + 1):
+        src, k = np.nonzero((space.lower >= 0) & (space.degrees == m)[:, None])
+        np.add.at(w, src, w[space.lower[src, k]] @ ads[k])
+    b = w * scale[space.degrees, None, None]
 
     # tangent block of B and the convolution g = P^T P
     p = np.moveaxis(b[:, q:, q:], 0, -1)

@@ -52,9 +52,13 @@ that of w_lam.  The frame used is the Ricci eigenframe with each repeated
 eigenspace split by the symmetric 2-tensors contracted from Riem,
 nabla Riem, ...; the minimum is sought over its 2^n sign changes and
 then polished once by least squares, with no randomness.  The candidates
-are exact when the refined spectrum is simple or every block left
-repeated is rotated by a symmetry; otherwise the result is only an
-upper bound.  In the two frames a sign change only flips the signs of
+are exact when the refined spectrum is simple, or when the symmetries
+rotate every block left repeated independently of the others.  One
+symmetry may turn several blocks together, as the isotropy circle of an
+Aloff-Wallach space turns its three 2-planes; then the frames chosen in
+those blocks need not match, the best candidate can be far off, and only
+the polish can close the gap.  Otherwise the result is only an upper
+bound.  In the two frames a sign change only flips the signs of
 parity classes of entries, so the 2^n sign vectors cost two class sums,
 and n is capped at MAX_ORBIT_DIM.
 """
@@ -360,10 +364,14 @@ def invariant_distance(mu, lam, order=1):
     candidate h0 (the first one on a tie); the smaller misfit is returned.
 
     The candidate set is exact when the refined spectrum is simple, or
-    when every block left repeated is rotated by a symmetry (any frame of
-    it then matches), so a rotated pair gives rounding-level output.
-    Otherwise, and always on distinct spaces, the result is only an upper
-    bound for the true orbit distance, never above || w_mu - w_lam ||.
+    when the symmetries rotate every block left repeated independently
+    of the others (any frame of each block then matches).  When one
+    symmetry turns several blocks together, the best candidate of a
+    rotated pair can be far off: 46.7 to 205.9 on rotated Aloff-Wallach
+    pairs, where one isotropy circle turns all three 2-planes, and only
+    the polish brings them to rounding level.  In general, and always
+    on distinct spaces, the result is only an upper bound for the true
+    orbit distance, never above || w_mu - w_lam ||.
     Identical arguments give identical output.
     """
     if mu.n != lam.n:

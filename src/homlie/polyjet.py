@@ -6,10 +6,18 @@ x^alpha with |alpha| <= degree in graded-lexicographic order: ascending
 total degree, ties broken by lexicographic comparison of the exponent
 tuples.  Index 0 is always the constant term.
 
+Every table comes from one (size, nvars) array of exponents, built
+grade by grade.  A code that is increasing in graded-lex order and
+additive on exponents turns monomial products and quotients into
+searchsorted lookups: the product table, and lower, the position of
+alpha - e_k (-1 where alpha_k = 0) that diff and the recursion of
+coordinates.metric_jet run on.
+
 Leading axes are free, so a matrix of polynomials is simply an array of
 shape (n, n, size).  The one product, mul, is an einsum contraction over
 the leading axes named by its subscripts, with the truncated polynomial
-product on the last axis: every pair of monomials whose degrees fit is
+product on the last axis: the partners of a monomial of degree d are the
+prefix of the graded order with degree <= degree - d, each pair is
 listed once in an index table, the factors are gathered along it, one
 einsum contracts them, and np.add.at sums each pair into its product
 monomial.  Both float64 and object (Python int or Fraction) coefficients
@@ -22,23 +30,11 @@ coefficients that agree with the untruncated product in every degree
 <= the truncation degree, because total degree is additive.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["PolySpace", "monomial_tuples"]
-
-
-def monomial_tuples(nvars, degree):
-    """All exponent tuples with |alpha| <= degree, graded-lex order."""
-    out = []
-    for d in range(degree + 1):
-        block = [alpha for alpha in itertools.product(range(d + 1), repeat=nvars)
-                 if sum(alpha) == d]
-        block.sort()
-        out.extend(block)
-    return out
+__all__ = ["PolySpace"]
 
 
 class PolySpace:
@@ -47,44 +43,38 @@ class PolySpace:
     def __init__(self, nvars, degree):
         if nvars < 1 or degree < 0:
             raise ValueError("need nvars >= 1 and degree >= 0")
+        base = degree + 1
+        if base ** (nvars + 1) > np.iinfo(np.int64).max:
+            raise ValueError(f"{nvars} variables at degree {degree} overflow the monomial codes")
         self.nvars = nvars
         self.degree = degree
-        self.monomials = monomial_tuples(nvars, degree)
-        self.size = len(self.monomials)
+        # code(alpha) = |alpha| base^nvars + the base-(degree+1) digits of
+        # alpha: increasing in graded-lex order, and additive while every
+        # digit stays <= degree, so searchsorted finds products and quotients
+        weights = base ** nvars + base ** np.arange(nvars - 1, -1, -1)
+        # grade d + 1 is grade d times each variable, sorted by code
+        grades = [np.zeros((1, nvars), dtype=int)]
+        for _ in range(degree):
+            up = (grades[-1][:, None, :] + np.eye(nvars, dtype=int)).reshape(-1, nvars)
+            _, first = np.unique(up @ weights, return_index=True)
+            grades.append(up[first])
+        self._exponents = np.concatenate(grades)
+        self.size = len(self._exponents)
+        self.degrees = self._exponents.sum(axis=1)
+        self.monomials = list(map(tuple, self._exponents.tolist()))
         self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
-        self.degrees = np.array([sum(a) for a in self.monomials], dtype=int)
+        code = self._exponents @ weights
 
-        # multiplication table: all (i1, i2) with deg_i1 + deg_i2 <= degree
-        i1, i2, it = [], [], []
-        for a, alpha in enumerate(self.monomials):
-            da = sum(alpha)
-            for b, beta in enumerate(self.monomials):
-                if da + sum(beta) > degree:
-                    continue
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-                i1.append(a)
-                i2.append(b)
-                it.append(self.index[gamma])
-        self._mul_i1 = np.array(i1, dtype=int)
-        self._mul_i2 = np.array(i2, dtype=int)
-        self._mul_it = np.array(it, dtype=int)
+        # multiplication table: the partners of monomial a are the prefix
+        # of the graded order with degree <= degree - deg_a
+        count = np.searchsorted(self.degrees, degree - self.degrees, side="right")
+        self._mul_i1 = np.repeat(np.arange(self.size), count)
+        self._mul_i2 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        self._mul_it = np.searchsorted(code, code[self._mul_i1] + code[self._mul_i2])
 
-        # derivative tables: x^alpha -> alpha_k x^(alpha - e_k)
-        self._diff_src = []
-        self._diff_dst = []
-        self._diff_fac = []
-        for k in range(nvars):
-            src, dst, fac = [], [], []
-            for a, alpha in enumerate(self.monomials):
-                if alpha[k] > 0:
-                    beta = list(alpha)
-                    beta[k] -= 1
-                    src.append(a)
-                    dst.append(self.index[tuple(beta)])
-                    fac.append(alpha[k])
-            self._diff_src.append(np.array(src, dtype=int))
-            self._diff_dst.append(np.array(dst, dtype=int))
-            self._diff_fac.append(np.array(fac, dtype=int))
+        # lower[a, k]: position of alpha - e_k, or -1 where alpha_k = 0
+        self.lower = np.where(self._exponents > 0,
+                              np.searchsorted(code, code[:, None] - weights), -1)
 
     # -- constructors -------------------------------------------------
 
@@ -116,9 +106,8 @@ class PolySpace:
         """Partial derivative in variable k; broadcasts over leading axes."""
         a = np.asarray(a)
         out = self.zeros(a.shape[:-1], a.dtype == object)
-        src = self._diff_src[k]
-        if src.size:
-            out[..., self._diff_dst[k]] = a[..., src] * self._diff_fac[k]
+        src = np.flatnonzero(self._exponents[:, k])
+        out[..., self.lower[src, k]] = a[..., src] * self._exponents[src, k]
         return out
 
     # -- evaluation ----------------------------------------------------
@@ -127,20 +116,15 @@ class PolySpace:
         return np.asarray(a)[..., 0]
 
     def monomial_values(self, x):
-        """Values of every basis monomial at the point x."""
+        """Values of every basis monomial at the point x: Fractions when
+        every coordinate is an int or a Fraction, float64 otherwise.
+
+        Each coordinate is raised by its own type's power, so float
+        points get the same bits as scalar arithmetic."""
         exact = all(isinstance(v, (int, Fraction)) for v in x)
-        vals = []
-        for alpha in self.monomials:
-            v = Fraction(1) if exact else 1.0
-            for xk, ak in zip(x, alpha):
-                if ak:
-                    v = v * xk ** ak
-            vals.append(v)
-        if exact:
-            out = np.empty(len(vals), dtype=object)
-            out[:] = vals
-            return out
-        return np.array(vals)
+        powers = np.array(list(x), dtype=object) ** self._exponents.astype(object)
+        vals = powers.prod(axis=1, initial=Fraction(1) if exact else 1.0)
+        return vals if exact else vals.astype(float)
 
     def evaluate(self, a, x):
         """Evaluate coefficients at the point x (per leading index)."""

@@ -123,8 +123,15 @@ def test_check_names_missing_entries_key(tmp_path, capsys):
      "entries too large"),
     ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":5}', "params is not an object"),
     ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":{"a":"1/0"}}', "params"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":{"a":"1e10000000"}}', "MAX_EXACT_DIGITS"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,1]],"params":{"a":"1e999999999"}}', "MAX_EXACT_DIGITS"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,"1e-10000000"],[0,2,1,"-1"],[0,1,2,"1"]]}',
+     "MAX_EXACT_DIGITS"),
+    ('{"q":0,"n":3,"entries":[[1,2,0,"1e999999999"],[0,2,1,"-1"],[0,1,2,"1"]]}',
+     "MAX_EXACT_DIGITS"),
 ], ids=["negative_q", "zero_n", "huge_n", "overflowing_norm", "params_not_object",
-        "params_bad_fraction"])
+        "params_bad_fraction", "params_exponent_1e7", "params_exponent_1e9",
+        "entry_exponent_minus_1e7", "entry_exponent_1e9"])
 def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -137,14 +144,16 @@ def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
-@pytest.mark.parametrize("command", ["invariants", "distance"])
+@pytest.mark.parametrize("command", ["invariants", "distance", "jet"])
 def test_order_above_entry_cap_is_rejected(su2_file, capsys, command):
     files = [su2_file] * (2 if command == "distance" else 1)
-    assert main([command, *files, "--order", "40"]) == 1
+    flag, bound = (("--degree", "MAX_JET_ENTRIES") if command == "jet"
+                   else ("--order", "MAX_FINGERPRINT_ENTRIES"))
+    assert main([command, *files, flag, "40"]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "MAX_FINGERPRINT_ENTRIES" in lines[0]
+    assert bound in lines[0]
 
 
 @pytest.fixture

@@ -333,14 +333,18 @@ def test_sign_scores_equal_brute_force_misfits(pair, order):
         assert scores[k] == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
 
 
+@pytest.mark.parametrize("frame", [1, 2, 3, 30])
 @pytest.mark.parametrize("mu", [
     br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
     br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
 ], ids=["circle5", "aloff_wallach"])
-def test_invariant_distance_rotated_pair_beyond_n3(mu):
+def test_invariant_distance_rotated_pair_beyond_n3(mu, frame):
     # both keep 2-fold clusters after refinement (circle5 two, Aloff-Wallach
-    # three), each rotated by the isotropy, so any frame of them matches
-    assert cu.invariant_distance(mu, _in_random_frame(mu, 30)) <= 1e-10
+    # three).  circle5's best candidate is already at rounding level; on
+    # Aloff-Wallach one isotropy circle turns all three 2-planes together,
+    # the best candidate is 47 to 206 off in these frames, and only the
+    # polish reaches rounding level
+    assert cu.invariant_distance(mu, _in_random_frame(mu, frame)) <= 1e-10
 
 
 def test_invariant_distance_rejects_n_above_cap(monkeypatch):

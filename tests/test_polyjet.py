@@ -1,5 +1,9 @@
 """Truncated polynomial products: PolySpace.mul against independent references."""
+import itertools
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlie.polyjet import PolySpace
@@ -10,6 +14,69 @@ CONTRACTIONS = [
     ("lim,mjk->lkij", (2, 2, 2), (2, 2, 2)),
     ("pmb,p...->mb...", (3, 2, 2), (3, 2, 3)),
 ]
+
+
+def _tuple_tables(nvars, degree):
+    """Monomials and index tables by tuple arithmetic, one pair at a time."""
+    monomials = []
+    for d in range(degree + 1):
+        monomials += sorted(alpha for alpha in itertools.product(range(d + 1), repeat=nvars)
+                            if sum(alpha) == d)
+    index = {alpha: i for i, alpha in enumerate(monomials)}
+    mul = [(a, b, index[tuple(x + y for x, y in zip(alpha, beta))])
+           for a, alpha in enumerate(monomials) for b, beta in enumerate(monomials)
+           if sum(alpha) + sum(beta) <= degree]
+    lower = [[index[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]] if alpha[k] else -1
+              for k in range(nvars)] for alpha in monomials]
+    return monomials, index, mul, lower
+
+
+@pytest.mark.parametrize("nvars, degree", [(1, 0), (1, 6), (2, 4), (3, 5), (4, 3), (5, 2),
+                                           (7, 0), (7, 3), (7, 5)])
+def test_tables_equal_tuple_arithmetic(nvars, degree):
+    space = PolySpace(nvars, degree)
+    monomials, index, mul, lower = _tuple_tables(nvars, degree)
+    assert space.monomials == monomials and space.index == index
+    assert space.size == len(monomials)
+    assert space.degrees.tolist() == [sum(alpha) for alpha in monomials]
+    assert list(zip(space._mul_i1.tolist(), space._mul_i2.tolist(),
+                    space._mul_it.tolist())) == mul
+    assert space.lower.tolist() == lower
+    # diff maps x^alpha to alpha_k x^(alpha - e_k)
+    for k in range(nvars):
+        for a, alpha in enumerate(monomials):
+            unit = space.zeros(exact=True)
+            unit[a] = 1
+            want = space.zeros(exact=True)
+            if alpha[k]:
+                want[lower[a][k]] = alpha[k]
+            assert np.array_equal(space.diff(unit, k), want)
+
+
+@pytest.mark.parametrize("point, dtype, kind", [
+    ((Fraction(1, 2), -3, Fraction(2, 3)), object, Fraction),
+    ((0, 0, 0), object, Fraction),
+    ((0.5, -3.0, 2.0), float, np.float64),
+    (np.array([0.3, -1.7, 2.1]), float, np.float64),
+    ((0.5, -3, Fraction(2, 3)), float, np.float64),
+])
+def test_monomial_values_keep_type(point, dtype, kind):
+    space = PolySpace(3, 4)
+    vals = space.monomial_values(point)
+    assert vals.shape == (space.size,) and vals.dtype == dtype
+    assert all(type(v) is kind for v in vals)
+    # the value of scalar arithmetic in each coordinate's own type
+    for alpha, v in zip(space.monomials, vals):
+        want = Fraction(1) if dtype is object else 1.0
+        for x, a in zip(point, alpha):
+            want = want * x ** a
+        assert v == want
+
+
+def test_codes_that_would_overflow_are_refused():
+    # 3^41 > 2^63: the monomial codes of 40 variables at degree 2 do not fit
+    with pytest.raises(ValueError, match="overflow"):
+        PolySpace(40, 2)
 
 
 def _product_by_pairs(space, subscripts, a, b):
