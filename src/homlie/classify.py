@@ -327,6 +327,12 @@ def _aw_split_candidates(r_max):
                     yield (g * t, min(a, b), max(a, b))
 
 
+def _bracket_distance(mu, lam):
+    """Euclidean distance of the structure constants of two brackets on one R^(q+n)."""
+    diff = mu.as_float() - lam.as_float()
+    return float(np.sqrt(np.sum(diff * diff)))
+
+
 def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
                          limit_pair=None, invariant_count=3):
     """Tabulate convergence diagnostics of a parameter sequence.
@@ -361,11 +367,8 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
             "member": rep.passed,
             "h2_status": rep.h2_status,
         }
-        if mu.dim == limit.dim:
-            diff = mu.as_float() - limit.as_float()
-            row["bracket_distance"] = float(np.sqrt(np.sum(diff * diff)))
-        else:
-            row["bracket_distance"] = None
+        row["bracket_distance"] = (_bracket_distance(mu, limit)
+                                   if mu.dim == limit.dim else None)
         fs = scalar_invariants(mu, invariant_count)
         for j, v in enumerate(fs, start=1):
             row[f"f{j}"] = v

@@ -7,6 +7,7 @@ text or CSV and is deterministic for fixed arguments.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -22,20 +23,54 @@ from . import coordinates as co
 from . import curvature as cu
 from . import flow as fl
 
+
 def _fail(message, code=1):
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file path opened for writing, or stdout when path is empty."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as out:
+        yield out
+
+
+def _fmt(v):
+    """One CSV cell: floats by repr, Fractions p/q, tuples by element, None empty."""
+    if type(v) is float:
+        return repr(v)
+    if v is None:
+        return ""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_fmt, v)) + ")"
+    if isinstance(v, np.floating):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_rows(path, header, rows, preamble=""):
+    """preamble, then header and rows as CSV cells by _fmt, to path or stdout."""
+    with _output(path) as out:
+        out.write(preamble)
+        w = csv.writer(out)
+        w.writerow(header)
+        w.writerows(map(_fmt, row) for row in rows)
+
+
 def _write_json(path, doc):
     """Write doc as indented JSON plus a newline to path, or to stdout."""
-    out = open(path, "w") if path else sys.stdout
-    try:
+    with _output(path) as out:
         json.dump(doc, out, indent=1)
         out.write("\n")
-    finally:
-        if path:
-            out.close()
+
+
+def _ricci_spectrum(mu):
+    """Eigenvalues of the Ricci endomorphism, descending, as floats."""
+    return np.sort(np.linalg.eigvalsh(cu.ricci_operator(mu)))[::-1].tolist()
 
 
 def _print_report(rep):
@@ -49,9 +84,7 @@ def _print_report(rep):
 
 
 def cmd_check(args):
-    mu = br.read_bracket(args.bracket)
-    tol = args.tol
-    _print_report(br.check_membership(mu, tol=tol))
+    _print_report(br.check_membership(br.read_bracket(args.bracket), tol=args.tol))
     return 0
 
 
@@ -59,12 +92,11 @@ def cmd_curvature(args):
     mu = br.read_bracket(args.bracket)
     br.require_member(mu)
     data = cu.curvature_data(mu)
-    eigs = data.ricci_eigenvalues
     print("ricci endomorphism:")
     for row in data.ricci:
-        print("  " + " ".join(repr(float(v)) for v in row))
-    print("ricci eigenvalues (descending): " + " ".join(repr(float(v)) for v in eigs))
-    print("scalar invariants f_k: " + " ".join(repr(float(v)) for v in data.invariants))
+        print("  " + " ".join(map(_fmt, row)))
+    print("ricci eigenvalues (descending): " + " ".join(map(_fmt, data.ricci_eigenvalues)))
+    print("scalar invariants f_k: " + " ".join(map(_fmt, data.invariants)))
     if args.output:
         _write_json(args.output, data.to_dict())
     return 0
@@ -72,10 +104,8 @@ def cmd_curvature(args):
 
 def cmd_invariants(args):
     mu = br.read_bracket(args.bracket)
-    br.require_member(mu)
-    fs = cu.scalar_invariants(mu)
     fp = cu.fingerprint(mu, args.order)
-    print("scalar invariants f_k: " + " ".join(repr(float(v)) for v in fs))
+    print("scalar invariants f_k: " + " ".join(map(_fmt, cu.scalar_invariants(mu))))
     for k, t in enumerate(fp.tensors):
         print(f"|nabla^{k} Riem|^2 : {float(np.sum(t * t))!r}")
     if args.output:
@@ -94,21 +124,28 @@ def cmd_distance(args):
 
 def cmd_jet(args):
     mu = br.read_bracket(args.bracket)
-    br.require_member(mu)
     _write_json(args.output, co.metric_jet(mu, args.degree).to_dict())
     return 0
 
 
-def _constants_columns(dim):
-    return [(i, j, k) for i in range(dim) for j in range(i + 1, dim)
+def _constant_names(dim):
+    """The c_i_j_k columns of a --constants CSV: i < j, then k."""
+    return [f"c_{i}_{j}_{k}" for i in range(dim) for j in range(i + 1, dim)
             for k in range(dim)]
 
 
 def _read_trajectory_sample(path):
-    """Last recorded state of a trajectory CSV written with --constants."""
+    """Last recorded state of a trajectory CSV written with --constants.
+
+    Its c_i_j_k cells go to bracket_from_dict as a bracket document, so
+    a resumed state passes the same bounds as a bracket file.
+    """
     with open(path, newline="") as fh:
         meta = fh.readline().strip()
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"{path} is not a trajectory CSV: {exc}") from None
     try:
         parts = dict(tok.split("=") for tok in meta[2:].split())
         q, n = int(parts["q"]), int(parts["n"])
@@ -116,25 +153,23 @@ def _read_trajectory_sample(path):
         raise ValueError(
             f"{path} starts with {meta!r}, not '# q=.. n=..'; resume needs a "
             "trajectory written with --constants") from None
-    if q < 0 or n < 1 or q + n > br.MAX_DIM:
-        raise ValueError(f"{path}: need q >= 0, n >= 1 and q + n <= {br.MAX_DIM}, "
-                         f"got q = {q}, n = {n}")
     if len(rows) < 2:
         raise ValueError(f"{path} has no trajectory rows to resume from")
     header, last = rows[0], rows[-1]
     if len(last) != len(header):
         raise ValueError(f"{path}: the last row has {len(last)} fields, "
                          f"the header {len(header)}")
-    dim = q + n
-    c = np.zeros((dim, dim, dim))
-    for i, j, k in _constants_columns(dim):
-        try:
-            col = header.index(f"c_{i}_{j}_{k}")
-        except ValueError:
-            raise ValueError(f"{path} is missing the c_{i}_{j}_{k} column")
-        c[i, j, k] = float(last[col])
-        c[j, i, k] = -c[i, j, k]
-    return br.Bracket(q, n, c), float(last[header.index("t")])
+    cells = dict(zip(header, last))
+    entries = [[*name.split("_")[1:], float(value)]
+               for name, value in cells.items() if name.startswith("c_")]
+    mu = br.bracket_from_dict({"q": q, "n": n, "entries": entries})
+    for name in ["t"] + _constant_names(mu.dim):
+        if name not in cells:
+            raise ValueError(f"{path} is missing the {name} column")
+    t = float(cells["t"])
+    if not math.isfinite(t):
+        raise ValueError(f"{path}: the last row has t = {t}, not a finite time")
+    return mu, t
 
 
 def cmd_flow(args):
@@ -146,32 +181,16 @@ def cmd_flow(args):
     traj = fl.integrate(mu, args.t_end, normalized=args.normalized,
                         rtol=args.rtol, max_steps=args.max_steps,
                         record_stride=args.stride)
-    index = tuple(zip(*_constants_columns(mu.dim)))
-    rows = []
-    for s in traj.samples:
-        row = [t_offset + s.t, s.norm, s.residual]
-        row.extend(s.ricci_eigenvalues)
-        if args.constants:
-            row.extend(s.bracket.c[index])
-        rows.append(row)
-    header = ["t", "norm", "soliton_residual"] + [f"ric_{i+1}" for i in range(mu.n)]
-    if args.constants:
-        header.extend(f"c_{i}_{j}_{k}" for i, j, k in _constants_columns(mu.dim))
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        if args.constants:
-            out.write(f"# q={mu.q} n={mu.n}\n")
-        w = csv.writer(out)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
-    finally:
-        if args.output:
-            out.close()
+    upper = np.triu_indices(mu.dim, 1)
+    header = (["t", "norm", "soliton_residual"] + [f"ric_{i+1}" for i in range(mu.n)]
+              + (_constant_names(mu.dim) if args.constants else []))
+    rows = ([float(t_offset + s.t), s.norm, s.residual] + s.ricci_eigenvalues.tolist()
+            + (s.bracket.c[upper].ravel().tolist() if args.constants else [])
+            for s in traj.samples)
+    _write_rows(args.output, header, rows,
+                f"# q={mu.q} n={mu.n}\n" if args.constants else "")
     print(f"status: {traj.status}", file=sys.stderr)
-    if traj.status in ("blow_up_detected", "step_underflow"):
-        return 2
-    return 0
+    return 2 if traj.status in ("blow_up_detected", "step_underflow") else 0
 
 
 def _parse_params(text):
@@ -217,7 +236,7 @@ def cmd_family(args):
         return _fail(f"cannot build family member: {exc}")
     _print_report(br.check_membership(mu))
     if args.output:
-        br.write_bracket(args.output, mu)
+        _write_json(args.output, br.bracket_to_dict(mu))
     return 0
 
 
@@ -231,63 +250,36 @@ def cmd_aw(args):
     return 0
 
 
-def _write_rows(path, header, rows):
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if path:
-            out.close()
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def cmd_sequence(args):
     limit = br.read_bracket(args.limit)
     params_seq = [tuple(_parse_params(p)) for p in args.params_list.split(";") if p.strip()]
-    pairs = None
-    limit_pair = None
-    if args.pairs:
-        pairs = [_parse_pair(p) for p in args.pairs.split(";") if p.strip()]
-    if args.limit_pair:
-        limit_pair = _parse_pair(args.limit_pair)
+    pairs = ([_parse_pair(p) for p in args.pairs.split(";") if p.strip()]
+             if args.pairs else None)
+    limit_pair = _parse_pair(args.limit_pair) if args.limit_pair else None
     try:
         rows = cl.sequence_diagnostics(args.family, params_seq, limit,
                                        topology_pairs=pairs, limit_pair=limit_pair)
     except ValueError as exc:
         return _fail(str(exc))
     keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "index", k))
-    _write_rows(args.output, keys,
-                [[_fmt(row.get(k)) for k in keys] for row in rows])
+    _write_rows(args.output, keys, ([row.get(k) for k in keys] for row in rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# canned experiments
+# canned experiments: each returns (header, rows)
 # ---------------------------------------------------------------------------
 
-def _reproduce_berger(outdir):
+def _reproduce_berger():
     rows = []
     mu_round = br.milnor_bracket(1.0, 1.0, 1.0)
     for k in (1, 2, 4, 8, 16, 32, 64):
         rk = math.sqrt(k)
         for sign in (1, -1):
             mu = br.milnor_bracket(sign / rk, rk, rk)
-            eigs = np.sort(np.linalg.eigvalsh(cu.ricci_operator(mu)))[::-1]
             expect = sorted([1.0 / (2 * k), sign - 1.0 / (2 * k),
                              sign - 1.0 / (2 * k)], reverse=True)
-            row = [k, sign] + [float(v) for v in eigs] + expect
+            row = [k, sign] + _ricci_spectrum(mu) + expect
             if sign == 1:
                 h = np.diag([1.0, rk, rk])
                 conj = br.gl_action(h, mu_round)
@@ -298,25 +290,21 @@ def _reproduce_berger(outdir):
             rows.append(row)
     header = (["k", "sign", "ric_1", "ric_2", "ric_3",
                "expected_1", "expected_2", "expected_3", "rescaling_residual"])
-    _write_rows(outdir and f"{outdir}/berger.csv",
-                header, [[_fmt(v) for v in r] for r in rows])
+    return header, rows
 
 
-def _reproduce_heisenberg(outdir):
+def _reproduce_heisenberg():
     limit = br.milnor_bracket(1.0, 0.0, 0.0)
     params = [(1.0, 1.0 / k, 1.0 / k) for k in range(2, 65)]
     rows = cl.sequence_diagnostics("milnor", params, limit)
     header = ["k", "bracket_distance", "f1", "f2", "f3",
               "gap1", "gap2", "gap3", "scaled_gap1"]
-    out = []
-    for k, row in zip(range(2, 65), rows):
-        out.append([k, row["bracket_distance"], row["f1"], row["f2"], row["f3"],
-                    row["gap1"], row["gap2"], row["gap3"], k * row["gap1"]])
-    _write_rows(outdir and f"{outdir}/heisenberg_limit.csv",
-                header, [[_fmt(v) for v in r] for r in out])
+    return header, [[k, row["bracket_distance"], row["f1"], row["f2"], row["f3"],
+                     row["gap1"], row["gap2"], row["gap3"], k * row["gap1"]]
+                    for k, row in zip(range(2, 65), rows)]
 
 
-def _reproduce_hyperbolic(outdir):
+def _reproduce_hyperbolic():
     rows = []
     for k in (4, 16, 64, 256):
         rk = math.sqrt(k)
@@ -324,31 +312,24 @@ def _reproduce_hyperbolic(outdir):
         twin = br.milnor_bracket(-1.0 / rk, rk, rk)
         verdict = cl.isometry_test(mu, twin, order=1)
         dist = cu.invariant_distance(mu, twin, order=1)
-        eigs = np.sort(np.linalg.eigvalsh(cu.ricci_operator(mu)))[::-1]
-        rows.append([k, verdict, dist] + [float(v) for v in eigs])
+        rows.append([k, verdict, dist] + _ricci_spectrum(mu))
     limit = br.circle_isotropy3(0.0, -1.0, 1.0, 1.0)
     rep = br.check_membership(limit)
-    eigs = np.sort(np.linalg.eigvalsh(cu.ricci_operator(limit)))[::-1]
-    rows.append(["limit", f"membership={rep.passed}", None] + [float(v) for v in eigs])
-    header = ["k", "isometry_verdict", "invariant_distance", "ric_1", "ric_2", "ric_3"]
-    _write_rows(outdir and f"{outdir}/hyperbolic_limit.csv",
-                header, [[_fmt(v) for v in r] for r in rows])
+    rows.append(["limit", f"membership={rep.passed}", None] + _ricci_spectrum(limit))
+    return ["k", "isometry_verdict", "invariant_distance", "ric_1", "ric_2", "ric_3"], rows
 
 
-def _reproduce_aw_sequence(outdir):
+def _reproduce_aw_sequence():
     limit = br.aloff_wallach_bracket(1, 1, 1.0, 1.0, 1.0, 1.0)
     rows = []
     for k in range(1, 21):
         mu = br.aloff_wallach_bracket(1.0, (k + 1.0) / k, 1.0, 1.0, 1.0, 1.0)
-        diff = mu.as_float() - limit.as_float()
-        dist = float(np.sqrt(np.sum(diff * diff)))
         rep = cl.aw_equivalence(k, k + 1, 1, 1)
-        rows.append([k, k + 1, dist, rep.r, rep.s,
+        rows.append([k, k + 1, cl._bracket_distance(mu, limit), rep.r, rep.s,
                      rep.homotopy_equivalent, rep.homeomorphic])
     header = ["p", "q", "bracket_distance_to_limit", "r", "s",
               "homotopy_equivalent_to_limit", "homeomorphic_to_limit"]
-    _write_rows(outdir and f"{outdir}/aloff_wallach_sequence.csv",
-                header, [[_fmt(v) for v in r] for r in rows])
+    return header, rows
 
 
 def _collapse_rationals(count):
@@ -361,29 +342,26 @@ def _collapse_rationals(count):
     return vals
 
 
-def _reproduce_collapse(outdir):
+def _reproduce_collapse():
     rows = []
     for pk in _collapse_rationals(8):
         p = float(pk)
         mu = br.circle_isotropy5(p, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, 1.0)
         rep = br.check_membership(mu)
-        eigs = np.sort(np.linalg.eigvalsh(cu.ricci_operator(mu)))[::-1]
         expect = sorted([1.0, p - 0.5, p - 0.5, 0.5, 0.5], reverse=True)
         rows.append([f"{pk.numerator}/{pk.denominator}", rep.passed]
-                    + [float(v) for v in eigs] + expect)
+                    + _ricci_spectrum(mu) + expect)
     s2 = math.sqrt(2.0)
     lam = br.circle_isotropy5(s2, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, 1.0,
                               rational_ratio=False)
     rep = br.check_membership(lam)
     resplit = br.resplit(lam, 2)
     rep2 = br.check_membership(resplit)
-    eigs2 = np.sort(np.linalg.eigvalsh(cu.ricci_operator(resplit)))[::-1]
     rows.append(["limit", f"q1_member={rep.passed},q2_member={rep2.passed}"]
-                + [float(v) for v in eigs2] + [None, None, None, None, None])
+                + _ricci_spectrum(resplit) + [None] * 5)
     header = (["p", "member"] + [f"ric_{i+1}" for i in range(5)]
               + [f"expected_{i+1}" for i in range(5)])
-    _write_rows(outdir and f"{outdir}/collapse.csv",
-                header, [[_fmt(v) for v in r] for r in rows])
+    return header, rows
 
 
 REPRODUCE = {
@@ -396,12 +374,12 @@ REPRODUCE = {
 
 
 def cmd_reproduce(args):
-    try:
-        fn = REPRODUCE[args.experiment]
-    except KeyError:
-        return _fail(f"unknown experiment {args.experiment!r}; choose from "
+    name = args.experiment
+    if name not in REPRODUCE:
+        return _fail(f"unknown experiment {name!r}; choose from "
                      + ", ".join(sorted(REPRODUCE)))
-    fn(args.output)
+    header, rows = REPRODUCE[name]()
+    _write_rows(args.output and f"{args.output}/{name.replace('-', '_')}.csv", header, rows)
     return 0
 
 

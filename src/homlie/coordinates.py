@@ -149,7 +149,10 @@ def metric_jet(mu, degree):
         scale = np.array([(-1) ** m * f ** m // math.factorial(m + 1)
                           for m in range(degree + 1)], dtype=object)
     else:
-        scale = np.array([(-1.0) ** m / math.factorial(m + 1) for m in range(degree + 1)])
+        # (m+1)! overflows a float from m = 170 on; the int quotient is
+        # correctly rounded there, and below it the float one keeps its bits
+        scale = np.array([(-1.0 if m < 170 else -1) ** m / math.factorial(m + 1)
+                          for m in range(degree + 1)])
 
     # ad(e_{q+k}) as (q+n) x (q+n) matrices
     ads = np.array([c[q + k].T for k in range(n)])
@@ -223,12 +226,18 @@ def _covariant_derivative(space, gam, t):
     return out
 
 
+# Most coefficients of curvature_derivatives' top tensor, n^(4 + order) * jet.space.size.
+# n = 7 passes at degree 3, order 1 (2e6; 2 s on one x86 core), not at degree 4, order 2.
+MAX_SERIES_ENTRIES = 4 * 10**6
+
+
 def curvature_derivatives(jet, order):
     """[Riem, nabla Riem, ..., nabla^order Riem] at the origin.
 
     Entry k has rank 4 + k with the derivative indices prepended in
     application order: entry 2 is (nabla_m2 nabla_m1 Riem)_{i j k l}
-    indexed [m2, m1, i, j, k, l].  Requires jet.degree >= order + 2.
+    indexed [m2, m1, i, j, k, l].  Requires jet.degree >= order + 2, and
+    n^(4 + order) * jet.space.size at most MAX_SERIES_ENTRIES.
 
     Exact jets give Fraction tensors, computed in Python ints: with L
     the common denominator of g and N = 2L, the metric g(N x) has the
@@ -243,6 +252,11 @@ def curvature_derivatives(jet, order):
             f"jet of degree {jet.degree} cannot determine order-{order} "
             f"derivatives; need degree >= {order + 2}")
     space = jet.space
+    # n >= 2 exceeds the cap below rank 64, so the power stays small
+    if jet.n ** min(4 + order, 64) * space.size > MAX_SERIES_ENTRIES:
+        raise ValueError(f"order {order} of a degree-{jet.degree} jet at n = {jet.n} needs "
+                         f"{jet.n}^{4 + order} * {space.size} entries, above "
+                         f"MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
     g = jet.g
     if jet.exact:
         scale = 2 * common_denominator(g)

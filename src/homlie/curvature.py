@@ -183,9 +183,9 @@ class CurvatureData:
 
 
 def curvature_data(mu):
-    riem = riemann_origin(mu)
-    ric = _ricci(riem)
-    return CurvatureData(riem, ric, _power_traces(ric, mu.n))
+    """Riem, and Ricci and its invariants from ricci_operator, as in scalar_invariants."""
+    ric = ricci_operator(mu)
+    return CurvatureData(riemann_origin(mu), ric, _power_traces(ric, mu.n))
 
 
 class Fingerprint:

@@ -70,7 +70,8 @@ def _residual(c, rhs):
     if nrm2 == 0.0:
         return 0.0
     res = rhs - (float(np.sum(rhs * c)) / nrm2) * c
-    return float(np.sqrt(np.sum(res * res))) / nrm2 ** 1.5
+    # past nrm2 ~ 3e205 a numpy power gives inf where a float one raises OverflowError
+    return float(np.sqrt(np.sum(res * res)) / np.float64(nrm2) ** 1.5)
 
 
 def bracket_flow_rhs(mu):

@@ -1,12 +1,15 @@
 import csv
 import json
+import string
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import homlie.brackets as br
+import homlie.classify as cl
 import homlie.coordinates as co
 from homlie.cli import main
 
@@ -184,6 +187,29 @@ def test_jet_of_exact_file_is_exact(exact_file, capsys):
     assert doc["entries"]
     for i, j, alpha, v in doc["entries"]:
         assert isinstance(v, str) and Fraction(v) == jet.coefficient(i, j, alpha)
+
+
+def test_jet_degree_past_factorial_overflow(tmp_path, capsys):
+    # (m + 1)! exceeds the float range from m = 170 on
+    path = tmp_path / "line.json"
+    path.write_text('{"q":0,"n":1,"entries":[]}')
+    assert main(["jet", str(path), "--degree", "200"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"q": 0, "n": 1, "degree": 200, "entries": [[0, 0, [0], 1.0]]}
+
+
+@pytest.mark.parametrize("mu", [br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+                                br.random_member(0, 5, seed=3)],
+                         ids=["aloff_wallach", "random_q0_n5"])
+def test_curvature_and_invariants_print_the_same_invariants(tmp_path, capsys, mu):
+    path = str(tmp_path / "mu.json")
+    br.write_bracket(path, mu)
+    lines = []
+    for argv in (["curvature", path], ["invariants", path, "--order", "0"]):
+        assert main(argv) == 0
+        lines.append([line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("scalar invariants f_k:")])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
 
 
 def test_jet_json_output(h3_file, capsys):
@@ -404,6 +430,14 @@ def test_sequence_sweep_alias(h3_file, capsys):
     assert rows[0][0] == "index" and len(rows) == 3
 
 
+def test_sequence_params_cells(h3_file, capsys):
+    assert main(["sequence", "milnor", "--params-list", "1,1,1;1/2,1,3/2;1.0,0.5,0.25",
+                 "--limit", h3_file]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    col = rows[0].index("params")
+    assert [r[col] for r in rows[1:]] == ["(1, 1, 1)", "(1/2, 1, 3/2)", "(1.0, 0.5, 0.25)"]
+
+
 def _short_last_row(path):
     rows = ["t,norm,soliton_residual,ric_1,ric_2,ric_3,c_0_1_0,c_0_1_1,c_0_1_2,"
             "c_0_2_0,c_0_2_1,c_0_2_2,c_1_2_0,c_1_2_1,c_1_2_2",
@@ -425,16 +459,20 @@ def _short_last_row(path):
     ["flow", "NO_N", "--resume", "--t-end", "0.5"],
     ["flow", "SHORT_ROW", "--resume", "--t-end", "0.5"],
     ["flow", "HUGE_N", "--resume", "--t-end", "0.5"],
+    ["flow", "LONG_FIELD", "--resume", "--t-end", "0.5"],
 ], ids=["zero_denominator", "sequence_zero_denominator", "too_few_params",
         "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
-        "resume_oversized"])
+        "resume_oversized", "resume_field_above_csv_limit"])
 def test_malformed_input_exits_1_without_traceback(argv, h3_file, tmp_path, capsys):
     (tmp_path / "no_n.csv").write_text("# q=0 x=3\nt,norm\n0.0,1.0\n")
     # q + n above brackets.MAX_DIM is refused before anything is allocated
     (tmp_path / "huge.csv").write_text("# q=0 n=1000000\nt,norm\n0.0,1.0\n")
     _short_last_row(tmp_path / "short.csv")
+    # the csv module refuses fields above 128 KiB with its own exception type
+    (tmp_path / "long.csv").write_text("# q=0 n=3\nt,norm\n" + "1" * 200000 + ",1.0\n")
     files = {"H3": h3_file, "NO_N": str(tmp_path / "no_n.csv"),
-             "SHORT_ROW": str(tmp_path / "short.csv"), "HUGE_N": str(tmp_path / "huge.csv")}
+             "SHORT_ROW": str(tmp_path / "short.csv"), "HUGE_N": str(tmp_path / "huge.csv"),
+             "LONG_FIELD": str(tmp_path / "long.csv")}
     assert main([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -453,3 +491,190 @@ def test_reproduce_writes_named_csv(tmp_path):
 def test_reproduce_unknown_experiment(capsys):
     assert main(["reproduce", "everything"]) == 1
     assert "choose from" in capsys.readouterr().err
+
+
+def _reproduce(tmp_path, name):
+    assert main(["reproduce", name, "--output", str(tmp_path)]) == 0
+    with open(tmp_path / f"{name.replace('-', '_')}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def _columns(header, row, prefix):
+    return [float(row[i]) for i, name in enumerate(header) if name.startswith(prefix)]
+
+
+def test_reproduce_berger_ricci_matches_closed_form(tmp_path):
+    header, rows = _reproduce(tmp_path, "berger")
+    assert header == ["k", "sign", "ric_1", "ric_2", "ric_3", "expected_1", "expected_2",
+                      "expected_3", "rescaling_residual"]
+    assert len(rows) == 14
+    for row in rows:
+        assert np.allclose(_columns(header, row, "ric_"), _columns(header, row, "expected_"),
+                           rtol=0, atol=1e-12)
+        assert (row[-1] == "") == (row[1] == "-1")
+
+
+def test_reproduce_collapse_ricci_matches_closed_form(tmp_path):
+    header, rows = _reproduce(tmp_path, "collapse")
+    assert header == (["p", "member"] + [f"ric_{i}" for i in range(1, 6)]
+                      + [f"expected_{i}" for i in range(1, 6)])
+    assert len(rows) == 9
+    for row in rows[:-1]:
+        assert row[1] == "True"
+        assert np.allclose(_columns(header, row, "ric_"), _columns(header, row, "expected_"),
+                           rtol=0, atol=1e-12)
+    assert rows[-1][:2] == ["limit", "q1_member=False,q2_member=True"]
+
+
+def test_reproduce_heisenberg_limit_scales_the_first_gap(tmp_path):
+    header, rows = _reproduce(tmp_path, "heisenberg-limit")
+    assert header == ["k", "bracket_distance", "f1", "f2", "f3",
+                      "gap1", "gap2", "gap3", "scaled_gap1"]
+    assert [int(r[0]) for r in rows] == list(range(2, 65))
+    for row in rows:
+        assert float(row[-1]) == int(row[0]) * float(row[header.index("gap1")])
+
+
+def test_reproduce_hyperbolic_limit_twins_are_indistinguishable(tmp_path):
+    header, rows = _reproduce(tmp_path, "hyperbolic-limit")
+    assert header == ["k", "isometry_verdict", "invariant_distance", "ric_1", "ric_2", "ric_3"]
+    assert [r[0] for r in rows] == ["4", "16", "64", "256", "limit"]
+    for row in rows[:-1]:
+        assert row[1] == "indistinguishable_at_order_1"
+        assert float(row[2]) <= 1e-10
+    assert rows[-1][1:3] == ["membership=True", ""]
+
+
+def test_reproduce_aloff_wallach_sequence_topology_flags(tmp_path):
+    header, rows = _reproduce(tmp_path, "aloff-wallach-sequence")
+    assert header == ["p", "q", "bracket_distance_to_limit", "r", "s",
+                      "homotopy_equivalent_to_limit", "homeomorphic_to_limit"]
+    assert len(rows) == 20
+    for row in rows:
+        rep = cl.aw_equivalence(int(row[0]), int(row[1]), 1, 1)
+        assert row[3:] == [str(rep.r), str(rep.s), str(rep.homotopy_equivalent),
+                           str(rep.homeomorphic)]
+        assert float(row[2]) > 0
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_SU2_ROW = {"c_0_1_2": "1.0", "c_0_2_1": "-1.0", "c_1_2_0": "1.0"}
+_SU2_COLUMNS = ["t", "norm", "soliton_residual", "ric_1", "ric_2", "ric_3"] + [
+    f"c_{i}_{j}_{k}" for i in range(3) for j in range(i + 1, 3) for k in range(3)]
+
+
+def _resume_file(path, meta, header, row):
+    path.write_text(f"{meta}\n" + ",".join(header) + "\n" + ",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("c_1_2_0", "1e200", "entries too large: ||mu||^2 exceeds 1e+300"),
+    ("c_1_2_0", "1e160", "entries too large: ||mu||^2 exceeds 1e+300"),
+    ("c_1_2_0", "nan", "structure constants must be finite"),
+    ("c_1_2_0", "inf", "structure constants must be finite"),
+    ("t", "nan", "not a finite time"),
+])
+def test_resume_row_passes_the_bracket_file_bounds(tmp_path, capsys, column, value, message):
+    cells = {"t": "0.5", **_SU2_ROW, column: value}
+    path = tmp_path / "run.csv"
+    _resume_file(path, "# q=0 n=3", _SU2_COLUMNS, [cells.get(c, "0.0") for c in _SU2_COLUMNS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", str(path), "--resume", "--t-end", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_resume_names_a_missing_constant_column(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    header = [c for c in _SU2_COLUMNS if c != "c_0_2_1"]
+    _resume_file(path, "# q=0 n=3", header, [_SU2_ROW.get(c, "0.0") for c in header])
+    assert main(["flow", str(path), "--resume", "--t-end", "0.1"]) == 1
+    assert "missing the c_0_2_1 column" in capsys.readouterr().err
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ")
+    if code == 2:
+        assert "status: " in err
+
+
+_FLOW = ["--t-end", "0.01", "--max-steps", "20"]
+# an explicit alphabet: hypothesis's default one costs seconds to build
+# on a first run
+_TEXT = string.printable + "\x00é∞−"
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**400, 10**400),
+    st.sampled_from([1e200, 1e160, -0.0, "1/2", "1/0", "1e999999999", "x", None, [], True]))
+# mostly near a valid su(2) bracket, so that many cases reach the flow
+_values = st.one_of(st.floats(-3, 3), _numbers)
+_su2_like = st.builds(lambda a, b, c: {"q": 0, "n": 3,
+                                       "entries": [[1, 2, 0, a], [0, 2, 1, b], [0, 1, 2, c]]},
+                      _values, _values, _values)
+_entries = st.lists(st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 4), _values).map(list),
+    st.lists(_numbers, max_size=5), _numbers), max_size=8)
+_documents = st.one_of(
+    _su2_like,
+    st.fixed_dictionaries({"q": st.integers(-1, 2), "n": st.integers(0, 3),
+                           "entries": _entries},
+                          optional={"family": st.sampled_from(["milnor", "circle3", 5]),
+                                    "params": st.one_of(_numbers, st.dictionaries(
+                                        st.sampled_from("abcd"), _numbers, max_size=3))}),
+    st.dictionaries(st.sampled_from(["q", "n", "entries", "c"]), _numbers, max_size=4))
+
+
+# fuzzed constants reach 1e308, so numpy overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.one_of(_documents.map(json.dumps), st.text(_TEXT, max_size=40)))
+# ||mu||^2 = 2e280: the flow residual's ||mu||^3 leaves the float range
+@example(doc='{"q": 0, "n": 3, "entries": [[1, 2, 0, 0.0], [0, 2, 1, 0.0], [0, 1, 2, 1e140]]}')
+def test_fuzzed_bracket_files_exit_cleanly(tmp_path, capsys, doc):
+    path = tmp_path / "mu.json"
+    path.write_text(doc)
+    for argv in (["check", str(path)], ["flow", str(path), *_FLOW]):
+        code = main(argv)
+        _assert_clean_exit(code, capsys.readouterr().err)
+
+
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e200", "1e160", "nan", "inf", "-0.0", "", "x", "1/2"]),
+    st.text(alphabet="0123456789.e-+x", max_size=6))
+_names = st.one_of(st.sampled_from(_SU2_COLUMNS),
+                   st.text(alphabet="ct_0123-x", min_size=1, max_size=8))
+
+
+# fuzzed constants reach 1e308, so numpy overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=st.one_of(st.just(_SU2_COLUMNS), st.lists(_names, max_size=16)),
+       data=st.data())
+def test_fuzzed_resume_files_exit_cleanly(tmp_path, capsys, columns, data):
+    # a valid su(2) row with a few cells replaced, sometimes cut short
+    meta = (data.draw(st.sampled_from(["# q=0 n=3", "# q=1 n=3", "# q=0 n=40", "# q=-1 n=3",
+                                       "# q=0 x=3"])) if data.draw(st.integers(0, 4))
+            else data.draw(st.text(_TEXT, max_size=12)))
+    row = [_SU2_ROW.get(c, "0.0") for c in columns]
+    for i in data.draw(st.sets(st.integers(0, max(len(row) - 1, 0)), max_size=3)):
+        row[i:i + 1] = [data.draw(_cells)]
+    if data.draw(st.integers(0, 3)) == 0:
+        row = row[:data.draw(st.integers(0, len(row)))]
+    path = tmp_path / "run.csv"
+    _resume_file(path, meta.replace("\n", " "), columns, row)
+    code = main(["flow", str(path), "--resume", *_FLOW])
+    _assert_clean_exit(code, capsys.readouterr().err)

@@ -218,6 +218,19 @@ def test_curvature_derivatives_need_enough_degree():
         co.curvature_derivatives(jet, 1)
 
 
+def test_curvature_derivatives_above_size_cap_fail_at_once(monkeypatch):
+    # 7^6 * 330 entries; the series path itself ran past 120 s here
+    jet = co.metric_jet(br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5), 4)
+
+    def slow_path(*args):
+        raise AssertionError("the size cap was not checked first")
+
+    monkeypatch.setattr(co, "_christoffel", slow_path)
+    monkeypatch.setattr(co.PolySpace, "mul", slow_path)
+    with pytest.raises(ValueError, match="MAX_SERIES_ENTRIES"):
+        co.curvature_derivatives(jet, 2)
+
+
 def test_toy_sphere_constant_curvature_from_jet():
     a = 0.7
     mu = br.Bracket(1, 2, toy_sphere(Fraction(7, 10)).as_float())
