@@ -30,6 +30,7 @@ Conventions used throughout the package:
 
 import json
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -654,13 +655,18 @@ def bracket_from_dict(data):
     parsed.
     """
     try:
-        q = int(data["q"])
-        n = int(data["n"])
-        entries = data["entries"]
+        q, n, entries = data["q"], data["n"], data["entries"]
     except KeyError as exc:
         raise ValueError(f"malformed bracket document: missing key {exc}") from exc
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed bracket document: {exc}") from exc
+    for key, value in (("q", q), ("n", n)):
+        # 3.0 is an integer, 3.9, "3", true, inf and nan are not
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+                isinstance(value, float) and value.is_integer())):
+            raise ValueError(f"malformed bracket document: {key} must be an integer, "
+                             f"got {value!r}")
+    q, n = int(q), int(n)
     if q < 0 or n < 1:
         raise ValueError(f"need q >= 0 and n >= 1, got q = {q}, n = {n}")
     dim = q + n

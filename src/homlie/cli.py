@@ -357,8 +357,9 @@ def _reproduce_collapse():
     rep = br.check_membership(lam)
     resplit = br.resplit(lam, 2)
     rep2 = br.check_membership(resplit)
+    ric = _ricci_spectrum(resplit)                      # n = 4 after the resplit
     rows.append(["limit", f"q1_member={rep.passed},q2_member={rep2.passed}"]
-                + _ricci_spectrum(resplit) + [None] * 5)
+                + ric + [None] * (5 - len(ric)) + [None] * 5)
     header = (["p", "member"] + [f"ric_{i+1}" for i in range(5)]
               + [f"expected_{i+1}" for i in range(5)])
     return header, rows

@@ -51,7 +51,11 @@ basis.  Such an h also carries every O(n)-equivariant frame of w_mu onto
 that of w_lam.  The frame used is the Ricci eigenframe with each repeated
 eigenspace split by the symmetric 2-tensors contracted from Riem,
 nabla Riem, ...; the minimum is sought over its 2^n sign changes and
-then polished once by least squares, with no randomness.  The candidates
+then polished by least squares, with no randomness, unless the polish
+cannot move the answer: the best candidate is at rounding level, or it
+is a strict local minimum, which a first- and second-order test at the
+candidate shows (the derivations D_a of so(n) are skew-adjoint, so the
+Hessian takes two applications of _derive).  The candidates
 are exact when the refined spectrum is simple, or when the symmetries
 rotate every block left repeated independently of the others.  One
 symmetry may turn several blocks together, as the isotropy circle of an
@@ -225,10 +229,9 @@ def _derive(d, t):
 
     with a in slot s.
     """
-    out = 0
-    for s in range(t.ndim):
-        term = np.einsum("mab,a...->mb...", d, np.moveaxis(t, s, 0))
-        out = out - np.moveaxis(term, 1, s + 1)
+    out = 0 - np.tensordot(d, t, (1, 0))     # 0 - x, not -x: no -0.0 entries
+    for s in range(1, t.ndim):
+        out -= np.moveaxis(np.tensordot(d, t, (1, s)), 1, s + 1)
     return out
 
 
@@ -325,6 +328,69 @@ def _invariant_frame(w):
 MAX_ORBIT_DIM = 12
 
 
+# The polish is skipped when the best candidate's misfit is at most this
+# fraction of ||w|| = (||w_mu||^2 + ||w_lam||^2)^(1/2): rotated pairs
+# reach 4.2e-14 in the candidates, and no polish improves on rounding.
+_POLISH_FLOOR = 1e-12
+
+# A candidate is stationary when ||J^T r|| <= _STATIONARY ||J|| ||r||
+# (spectral norm of J).  Seen: 1e-19 to 4e-14 at stationary candidates,
+# 0.04 to 0.65 at the others.
+_STATIONARY = 1e-10
+
+# Eigenvalues of J^T J below _KERNEL_CUT times the largest span ker J,
+# the stabilizer of h0 . w_mu.  J^T J is formed in floats, so an exact
+# stabilizer shows at most 6e-16 of the largest; the smallest eigenvalue
+# off ker J seen is 0.04 of it.
+_KERNEL_CUT = 1e-12
+
+# A stationary candidate is a strict local minimum when the Hessian on
+# (ker J)^perp has lambda_min > _CURVATURE_MARGIN lambda_max.  Seen:
+# lambda_min / lambda_max >= 0.108 at local minima, <= -0.08 at saddles.
+_CURVATURE_MARGIN = 1e-2
+
+
+def _rotation_jacobian(v):
+    """J^T for the rotation h -> expm(S) . v at S = 0, one block per tensor
+    of v: row a of a block is D_a t flattened, the derivation by
+    E_a = e_i e_j^T - e_j e_i^T, (i, j) the a-th pair of triu_indices(n, 1),
+    which is the derivative of the rotation along E_a.
+    """
+    n = v[0].shape[0]
+    i, j = np.triu_indices(n, 1)
+    e = np.eye(n)
+    basis = e[i, :, None] * e[j, None, :] - e[j, :, None] * e[i, None, :]
+    return [_derive(basis, t).reshape(len(i), -1) for t in v]
+
+
+def _strict_local_minimum(v, w):
+    """Whether 1/2 ||expm(S) . v - w||^2 has a strict local minimum at
+    S = 0 in so(n), modulo the stabilizer of v (along which the misfit is
+    constant).  v and w are lists of tensors.
+
+    With J from _rotation_jacobian and r = v - w the gradient is J^T r.
+    D_a is skew-adjoint, so r . D_a D_b v = -<D_a r, D_b v> and the
+    Hessian is J^T J - sym(J_r^T J), J_r the Jacobian of r: no second
+    derivative is formed (Absil, Mahony and Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008).  J is never stacked: each
+    tensor adds its own terms.
+    """
+    r = [a - b for a, b in zip(v, w)]
+    jt = _rotation_jacobian(v)
+    gram = sum(j @ j.T for j in jt)
+    grad = sum(j @ x.ravel() for j, x in zip(jt, r))
+    sq, vecs = np.linalg.eigh(gram)
+    if sq[-1] == 0.0:
+        return True                     # every rotation fixes v
+    r_norm = math.sqrt(sum(float(np.sum(x * x)) for x in r))
+    if np.linalg.norm(grad) > _STATIONARY * math.sqrt(sq[-1]) * r_norm:
+        return False
+    cross = sum(jr @ j.T for jr, j in zip(_rotation_jacobian(r), jt))
+    keep = vecs[:, sq > _KERNEL_CUT * sq[-1]]
+    curv = np.linalg.eigvalsh(keep.T @ (gram - 0.5 * (cross + cross.T)) @ keep)
+    return bool(curv[0] > _CURVATURE_MARGIN * curv[-1])
+
+
 def _sign_scores(a, c):
     """Squared misfits || diag(s) . a - c ||^2 for every sign vector s, in
     itertools.product order.
@@ -359,9 +425,16 @@ def invariant_distance(mu, lam, order=1):
     MAX_ORBIT_DIM.  The candidates are the identity and
     h = U_lam diag(s) U_mu^T for every sign vector s in {+-1}^n, U the
     invariant frames of the two fingerprints (_invariant_frame), scored
-    in those frames (_sign_scores).  A Levenberg-Marquardt pass on the
-    entry-wise residuals, h = h0 expm(S(theta)), polishes the best
-    candidate h0 (the first one on a tie); the smaller misfit is returned.
+    in those frames (_sign_scores).  The best candidate h0 (the first one
+    on a tie) is returned as it is when its misfit is at most
+    _POLISH_FLOOR ||w||, ||w||^2 = ||w_mu||^2 + ||w_lam||^2, or when it is
+    a strict local minimum modulo the stabilizer of h0 . w_mu
+    (_strict_local_minimum): there the polish cannot move it.  Otherwise
+    (saddles, far-off candidates, non-stationary points) a
+    Levenberg-Marquardt pass on the entry-wise residuals,
+    h = h0 expm(S(theta)), polishes it, and the smaller misfit is returned.
+    A rotated pair may therefore give up to _POLISH_FLOOR ||w|| rather
+    than the polished rounding level.
 
     The candidate set is exact when the refined spectrum is simple, or
     when the symmetries rotate every block left repeated independently
@@ -401,6 +474,10 @@ def invariant_distance(mu, lam, order=1):
     values = np.concatenate([[np.linalg.norm(misfit(np.eye(n)))], np.sqrt(scores)])
     best = int(np.argmin(values))
     h0 = np.eye(n) if best == 0 else ub @ (signs[best - 1][:, None] * ua.T)
+    scale = math.sqrt(sum(float(np.sum(t * t)) for t in wa + wb))
+    if (values[best] <= _POLISH_FLOOR * scale
+            or _strict_local_minimum([rotate_tensor(h0, t) for t in wa], wb)):
+        return float(values[best])
     fit = least_squares(residuals, np.zeros(n * (n - 1) // 2),
                         args=(h0,), method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)

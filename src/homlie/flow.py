@@ -156,7 +156,8 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     mu0 must pass the membership check.  normalized=True rescales to
     unit bracket norm after every accepted step.  Steps are controlled
     by the embedded 5(4) error estimate against atol + rtol * |state|;
-    blow-up is declared when the bracket norm exceeds blow_up.  Every
+    blow-up is declared when the bracket norm exceeds blow_up, for a
+    plain flow that starts above it before the first step.  Every
     record_stride-th accepted step is recorded (plus the initial and
     final states).
     """
@@ -182,14 +183,21 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         y = y / nrm
         scale = 1.0 / nrm
 
-    def sample(t, y, fy):
+    def sample(t, y, residual):
         mu = Bracket(q, n, y.reshape(shape))
         eigs = np.sort(np.linalg.eigvalsh(ricci_operator(mu)))[::-1]
-        return FlowSample(t, mu, float(np.linalg.norm(y)), eigs, scale, _residual(y, fy))
+        return FlowSample(t, mu, float(np.linalg.norm(y)), eigs, scale, residual)
+
+    if not normalized and np.linalg.norm(y) > blow_up:
+        # blown up before the first step, where the right-hand side, cubic
+        # in mu, can overflow; the residual is scale-free, so it is taken
+        # at unit norm (one right-hand side and one sample, as a start)
+        u = y / np.linalg.norm(y)
+        return FlowTrajectory("blow_up_detected", [sample(0.0, y, _residual(u, f(u)))], q, n)
 
     t = 0.0
     fy = f(y)
-    samples = [sample(0.0, y, fy)]
+    samples = [sample(0.0, y, _residual(y, fy))]
     scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
     dt = min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01
     dt = min(dt, t_end)
@@ -219,11 +227,11 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
             accepted += 1
             done = t >= t_end - 1e-12 * max(1.0, t_end)
             if np.linalg.norm(y) > blow_up:
-                samples.append(sample(t, y, fy))
+                samples.append(sample(t, y, _residual(y, fy)))
                 status = "blow_up_detected"
                 break
             if done or accepted % record_stride == 0:
-                samples.append(sample(t, y, fy))
+                samples.append(sample(t, y, _residual(y, fy)))
             if done:
                 status = "completed"
                 break
@@ -233,10 +241,10 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         if t + dt > t_end:
             dt = t_end - t
         if dt < 1e-14 * max(1.0, abs(t)):
-            samples.append(sample(t, y, fy))
+            samples.append(sample(t, y, _residual(y, fy)))
             status = "step_underflow"
             break
 
     if status == "max_steps" and samples[-1].t < t:
-        samples.append(sample(t, y, fy))
+        samples.append(sample(t, y, _residual(y, fy)))
     return FlowTrajectory(status, samples, q, n)

@@ -305,6 +305,20 @@ def test_bracket_from_dict_rejects_bad_dimensions(q, n):
         br.bracket_from_dict({"q": q, "n": n, "entries": []})
 
 
+@pytest.mark.parametrize("key, value", [("n", 3.9), ("q", "x"), ("q", "0"), ("n", True),
+                                        ("n", float("inf")), ("q", float("nan")), ("n", None)])
+def test_bracket_from_dict_refuses_non_integer_dimensions(key, value):
+    doc = {"q": 0, "n": 3, "entries": [[1, 2, 0, 1], [0, 2, 1, -1], [0, 1, 2, 1]]}
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        br.bracket_from_dict(doc)
+
+
+def test_bracket_from_dict_accepts_integral_float_dimensions():
+    mu = br.bracket_from_dict({"q": 0.0, "n": 3.0, "entries": [[0, 1, 2, 1.0]]})
+    assert (mu.q, mu.n) == (0, 3) and type(mu.n) is int
+
+
 def test_bracket_from_dict_caps_dimension_before_allocating():
     # a dense (1e9)^3 array would not fit; the cap fires first
     with pytest.raises(ValueError, match="exceeds the largest supported dimension"):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import homlie.brackets as br
 import homlie.classify as cl
 import homlie.coordinates as co
-from homlie.cli import main
+from homlie.cli import REPRODUCE, main
 
 
 @pytest.fixture
@@ -132,9 +132,11 @@ def test_check_names_missing_entries_key(tmp_path, capsys):
      "MAX_EXACT_DIGITS"),
     ('{"q":0,"n":3,"entries":[[1,2,0,"1e999999999"],[0,2,1,"-1"],[0,1,2,"1"]]}',
      "MAX_EXACT_DIGITS"),
+    ('{"q":0,"n":3.9,"entries":[[1,2,0,1],[0,2,1,-1],[0,1,2,1]]}', "n must be an integer"),
+    ('{"q":"x","n":3,"entries":[[1,2,0,1],[0,2,1,-1],[0,1,2,1]]}', "q must be an integer"),
 ], ids=["negative_q", "zero_n", "huge_n", "overflowing_norm", "params_not_object",
         "params_bad_fraction", "params_exponent_1e7", "params_exponent_1e9",
-        "entry_exponent_minus_1e7", "entry_exponent_1e9"])
+        "entry_exponent_minus_1e7", "entry_exponent_1e9", "non_integer_n", "non_numeric_q"])
 def test_check_rejects_out_of_range_document(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -259,6 +261,22 @@ def test_flow_q1_blow_up_exits_2_with_partial_csv(tmp_path, capsys):
     assert len(rows) > 10
     assert 0.2 < float(rows[-1][0]) < 0.3
     assert float(rows[-1][1]) > 1e8
+
+
+@pytest.mark.parametrize("a", ["3.99e102", "1e140"])
+def test_flow_starting_above_blow_up_exits_2(tmp_path, capsys, a):
+    # finite constants whose first Runge-Kutta stage overflows
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"q":0,"n":3,"entries":[[1,2,0,0.0],[0,2,1,0.0],[0,1,2,{a}]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", str(path), "--t-end", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "status: blow_up_detected" in captured.err
+    assert "error:" not in captured.err
+    header, row = list(csv.reader(captured.out.splitlines()))
+    assert float(row[0]) == 0.0 and float(row[1]) > 1e8
 
 
 def test_main_calls_in_one_process_are_independent(su2_file, nonmember_file, capsys):
@@ -525,6 +543,14 @@ def test_reproduce_collapse_ricci_matches_closed_form(tmp_path):
         assert np.allclose(_columns(header, row, "ric_"), _columns(header, row, "expected_"),
                            rtol=0, atol=1e-12)
     assert rows[-1][:2] == ["limit", "q1_member=False,q2_member=True"]
+    # n = 4 after the resplit: four Ricci cells, then ric_5 and expected_* empty
+    assert all(rows[-1][2:6]) and rows[-1][6:] == [""] * 6
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCE))
+def test_reproduce_rows_have_the_header_length(tmp_path, name):
+    header, rows = _reproduce(tmp_path, name)
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_reproduce_heisenberg_limit_scales_the_first_gap(tmp_path):
@@ -619,15 +645,17 @@ _numbers = st.one_of(
     st.sampled_from([1e200, 1e160, -0.0, "1/2", "1/0", "1e999999999", "x", None, [], True]))
 # mostly near a valid su(2) bracket, so that many cases reach the flow
 _values = st.one_of(st.floats(-3, 3), _numbers)
-_su2_like = st.builds(lambda a, b, c: {"q": 0, "n": 3,
-                                       "entries": [[1, 2, 0, a], [0, 2, 1, b], [0, 1, 2, c]]},
-                      _values, _values, _values)
+# q and n: integers, integral and non-integral floats, and non-numbers
+_dims = st.one_of(st.integers(-1, 3), st.floats(-1.5, 3.5), st.sampled_from(["x", "3", True, None]))
+_su2_like = st.builds(lambda a, b, c, n: {"q": 0, "n": n,
+                                          "entries": [[1, 2, 0, a], [0, 2, 1, b], [0, 1, 2, c]]},
+                      _values, _values, _values, st.one_of(st.just(3), st.floats(2.5, 3.5)))
 _entries = st.lists(st.one_of(
     st.tuples(st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 4), _values).map(list),
     st.lists(_numbers, max_size=5), _numbers), max_size=8)
 _documents = st.one_of(
     _su2_like,
-    st.fixed_dictionaries({"q": st.integers(-1, 2), "n": st.integers(0, 3),
+    st.fixed_dictionaries({"q": _dims, "n": _dims,
                            "entries": _entries},
                           optional={"family": st.sampled_from(["milnor", "circle3", 5]),
                                     "params": st.one_of(_numbers, st.dictionaries(

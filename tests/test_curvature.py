@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings, strategies as st
 
 import homlie.brackets as br
@@ -461,6 +462,118 @@ def test_invariant_distance_no_larger_than_pattern_search(abc, def_,
     assert d <= pattern_search_value * (1.0 + 1e-12)
     start = cu.fingerprint(mu, 1).flat_vector() - cu.fingerprint(lam, 1).flat_vector()
     assert d <= np.linalg.norm(start)
+
+
+def _count_polishes(monkeypatch):
+    calls = []
+    real = cu.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cu, "least_squares", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mu, lam", [
+    (br.milnor_bracket(1.0, 0.5, 0.25),
+     br.gl_action(random_orthogonal(3, np.random.default_rng(11)), br.milnor_bracket(1.0, 0.5, 0.25))),
+    (br.milnor_bracket(2.0, 1.0, 1.0),
+     br.gl_action(random_orthogonal(3, np.random.default_rng(7)), br.milnor_bracket(2.0, 1.0, 1.0))),
+    (br.circle_isotropy3(1.0, 0.5, 1.5, 1.0), _in_random_frame(br.circle_isotropy3(1.0, 0.5, 1.5, 1.0), 8)),
+    (br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
+     _in_random_frame(br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5), 1)),
+], ids=["milnor", "berger", "circle3", "circle5"])
+def test_rotated_pair_at_rounding_floor_is_not_polished(monkeypatch, mu, lam):
+    calls = _count_polishes(monkeypatch)
+    assert cu.invariant_distance(mu, lam) <= 1e-10
+    assert not calls
+
+
+def test_strict_local_minimum_is_not_polished(monkeypatch):
+    # Heisenberg against milnor(1, 1.5, 2.5): stationary, Hessian positive
+    # definite off the stabilizer, so the candidate is the answer
+    calls = _count_polishes(monkeypatch)
+    d = cu.invariant_distance(br.milnor_bracket(1.0, 0.0, 0.0), br.milnor_bracket(1.0, 1.5, 2.5))
+    assert not calls
+    assert d == pytest.approx(13.88344337691482, rel=1e-14)
+
+
+@pytest.mark.parametrize("order, parent_value", [(1, 16.5132522538718),
+                                                 (2, 68.00275729710677)])
+def test_saddle_is_polished(monkeypatch, order, parent_value):
+    # the FOUND pair's best candidate is a stationary saddle at order 1
+    # (lambda_min / lambda_max = -0.135) and not stationary at order 2.
+    # At order 2 the polish runs about 1 200 finite-difference residuals
+    # through a flat region, and rounding-level changes in the fingerprint
+    # move where it stops: 1.3e-14 relative above the parent's value
+    calls = _count_polishes(monkeypatch)
+    assert cu.invariant_distance(*_found_pair(), order=order) <= parent_value * (1.0 + 1e-13)
+    assert len(calls) == 1
+
+
+def test_far_off_candidate_is_polished(monkeypatch):
+    # rotated Aloff-Wallach: the best candidate is 47 to 206 off
+    calls = _count_polishes(monkeypatch)
+    mu = br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5)
+    assert cu.invariant_distance(mu, _in_random_frame(mu, 1)) <= 1e-10
+    assert len(calls) == 1
+
+
+def test_misfit_hessian_matches_finite_differences():
+    # f(theta) = 1/2 ||expm(S(theta)) h0 . w_mu - w_lam||^2 at a random h0,
+    # S(theta) filling the strict upper triangle row by row
+    mu, lam = br.milnor_bracket(1.0, 0.5, 0.25), br.milnor_bracket(-1.0, 1.5, 2.0)
+    wa, wb = cu.fingerprint(mu, 2).tensors, cu.fingerprint(lam, 2).tensors
+    n, upper = 3, np.triu_indices(3, 1)
+    h0 = random_orthogonal(n, np.random.default_rng(4))
+    v = [cu.rotate_tensor(h0, t) for t in wa]
+    r = [a - b for a, b in zip(v, wb)]
+    jt = np.concatenate(cu._rotation_jacobian(v), axis=1)
+    jrt = np.concatenate(cu._rotation_jacobian(r), axis=1)
+    cross = jrt @ jt.T
+    hess = jt @ jt.T - 0.5 * (cross + cross.T)
+
+    def f(theta):
+        s = np.zeros((n, n))
+        s[upper] = theta
+        h = expm(s - s.T) @ h0
+        return 0.5 * sum(np.sum((cu.rotate_tensor(h, a) - b) ** 2) for a, b in zip(wa, wb))
+
+    step, eye = 1e-4, np.eye(len(upper[0]))
+    fd = np.array([[(f(step * (ea + eb)) - f(step * (ea - eb)) - f(step * (eb - ea))
+                     + f(-step * (ea + eb))) / (4 * step * step) for eb in eye] for ea in eye])
+    assert np.allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+    # and the gradient J^T r against central differences
+    grad = jt @ np.concatenate([x.ravel() for x in r])
+    fd_grad = np.array([(f(step * e) - f(-step * e)) / (2 * step) for e in eye])
+    assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(fd_grad).max())
+
+
+def _derive_einsum(d, t):
+    """Reference derivation: one einsum per slot."""
+    out = 0
+    for s in range(t.ndim):
+        term = np.einsum("mab,a...->mb...", d, np.moveaxis(t, s, 0))
+        out = out - np.moveaxis(term, 1, s + 1)
+    return out
+
+
+@pytest.mark.parametrize("mu", [br.random_member(0, 4, seed=1), br.milnor_bracket(1, 2, 3)],
+                         ids=["float", "exact"])
+def test_derive_matches_einsum_reference(mu):
+    # exact: equal integers; float: summation order differs, rounding only
+    c = mu.c
+    if mu.exact:
+        c = br.to_integers(c, 2 * br.common_denominator(c))
+    t, d = cu._riemann(c, mu.q)
+    for _ in range(2):
+        want, t = _derive_einsum(d, t), cu._derive(d, t)
+        if mu.exact:
+            assert np.array_equal(t, want)
+        else:
+            assert np.allclose(t, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,23 @@ def test_blow_up_is_detected():
     assert traj.status == "blow_up_detected"
     assert traj.final.norm > 1e3
     assert traj.final.t < 1.0
+
+
+@pytest.mark.parametrize("a", [3.99e102, 1e140])
+def test_plain_flow_starting_above_blow_up_stops_before_the_first_step(a):
+    # the right-hand side, cubic in mu, overflows at the first stage
+    mu = br.milnor_bracket(0.0, 0.0, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = fl.integrate(mu, 1.0)
+        normalized = fl.integrate(mu, 0.1, normalized=True)
+    assert traj.status == "blow_up_detected"
+    assert len(traj.samples) == 1 and traj.final.t == 0.0
+    assert np.array_equal(traj.final.bracket.c, mu.float_c)
+    assert traj.final.residual == pytest.approx(
+        fl.soliton_residual(br.milnor_bracket(0.0, 0.0, 1.0)), abs=1e-15)
+    # the normalized flow rescales first and runs as usual
+    assert normalized.status == "completed"
 
 
 def test_step_underflow_near_singularity():
