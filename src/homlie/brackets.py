@@ -279,8 +279,8 @@ def check_membership(mu, tol=None):
     h4_dim = 0
     if q > 0:
         k = c[:q, q:, :].reshape(q, -1)
-        sv = np.linalg.svd(k, compute_uv=False)
-        smax = sv[0] if sv.size else 0.0
+        sv = np.linalg.svd(k, compute_uv=False)   # q >= 1 rows, so sv is not empty
+        smax = sv[0]
         if smax == 0.0:
             h4_dim = q
         else:
@@ -317,7 +317,7 @@ def gl_action(h, mu):
     return Bracket(mu.q, mu.n, new_c)
 
 
-def check_equivariant_conditions(h, mu, tol=None):
+def check_equivariant_conditions(h, mu):
     """Check the two commutation conditions under which a block map
 
         h = [[h_q, A], [0, h_n]]
@@ -328,10 +328,11 @@ def check_equivariant_conditions(h, mu, tol=None):
     * cond_a : h_n^T h_n commutes with every ad(z)|_{R^n}, z in R^q;
     * cond_b : A ad(z)|_{R^n} = h_q ad(z)|_{R^q} h_q^-1 A for all z.
 
-    Raises ValueError if the lower-left block of h is nonzero.
+    Both, and the zero lower-left block, are tested entry-wise against
+    default_tolerance(mu).  Raises ValueError if the lower-left block of
+    h is nonzero.
     """
-    if tol is None:
-        tol = default_tolerance(mu)
+    tol = default_tolerance(mu)
     q, n = mu.q, mu.n
     h = np.asarray(h, float)
     if h.shape != (mu.dim, mu.dim):
@@ -358,18 +359,16 @@ def check_equivariant_conditions(h, mu, tol=None):
     return cond_a, cond_b
 
 
-def flat_degeneration(mu, tol=None):
+def flat_degeneration(mu):
     """Kill the tangent-tangent part of a member bracket.
 
     The result lam agrees with mu whenever one argument lies in R^q and
     vanishes on R^n x R^n.  It passes the structural conditions whenever
     mu does and describes a flat space, so the output is tagged with
     family "flat" (closedness holds for it).  Raises ValueError when mu
-    itself fails the membership check.
+    itself fails the membership check at its default tolerance.
     """
-    rep = check_membership(mu, tol=tol)
-    if not rep.passed:
-        raise ValueError(f"flat_degeneration requires a member bracket, got {rep!r}")
+    require_member(mu)
     q = mu.q
     c = np.array(mu.c, dtype=mu.c.dtype)
     if mu.exact:
@@ -528,7 +527,7 @@ def _random_member_q0(n, rng):
             for u in range(1, n):
                 c[0, v, u] = m[u - 1, v - 1]
                 c[v, 0, u] = -m[u - 1, v - 1]
-    elif kind == 1 and n >= 3:
+    elif kind == 1:
         # diagonal 3-dimensional block, abelian complement
         a, b, cc = rng.standard_normal(3)
         c[1, 2, 0], c[2, 1, 0] = a, -a

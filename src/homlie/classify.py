@@ -48,14 +48,16 @@ FAMILY_CONSTRUCTORS = {
 }
 
 
-def commutant(mu, cutoff=1e-10):
+def commutant(mu):
     """Basis of the matrices commuting with every ad(z)|_tangent, z in R^q.
 
     Returns a list of n x n matrices, orthonormal in the Frobenius inner
-    product, spanning the real commutant algebra.  The dimension
-    reconstructs the isotypic decomposition of the isotropy action: each
-    isotypic block of multiplicity m over R, C or H contributes a full
-    matrix algebra gl_m over that division algebra.  Requires q >= 1.
+    product, spanning the real commutant algebra: the right singular
+    vectors of the stacked commutator maps whose singular values are at
+    most 1e-10 max(1, sigma_max).  The dimension reconstructs the
+    isotypic decomposition of the isotropy action: each isotypic block
+    of multiplicity m over R, C or H contributes a full matrix algebra
+    gl_m over that division algebra.  Requires q >= 1.
     """
     q, n = mu.q, mu.n
     if q < 1:
@@ -66,23 +68,19 @@ def commutant(mu, cutoff=1e-10):
     for z in range(q):
         m = c[z, q:, q:].T
         rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    a = np.vstack(rows)
-    u, sv, vt = np.linalg.svd(a)
-    smax = sv[0] if sv.size else 0.0
-    null_mask = sv <= cutoff * max(1.0, smax)
-    basis = [vt[i].reshape(n, n) for i in range(len(sv)) if null_mask[i]]
-    basis.extend(vt[i].reshape(n, n) for i in range(len(sv), n * n))
-    return basis
+    # q n^2 >= n^2 rows, so there is one singular value per basis matrix
+    _, sv, vt = np.linalg.svd(np.vstack(rows))
+    return [v.reshape(n, n) for v, s in zip(vt, sv) if s <= 1e-10 * max(1.0, sv[0])]
 
 
-def isometry_test(mu, lam, order=2, tol=1e-8):
+def isometry_test(mu, lam, order=2):
     """Compare curvature invariants of two brackets up to a given order.
 
     The scalars compared are the Ricci power traces f_1..f_n and the
     squared norms of nabla^k Riem for k = 0..order; all of them are
     invariant under orthogonal changes of tangent basis, so a genuine
     isometry forces equality.  Returns "distinct" when some scalar
-    differs by more than tol * (1 + magnitude), otherwise the string
+    differs by more than 1e-8 (1 + magnitude), otherwise the string
     "indistinguishable_at_order_<order>".  Isotropy dimensions may
     differ; the tangent dimensions must agree.
     """
@@ -95,7 +93,7 @@ def isometry_test(mu, lam, order=2, tol=1e-8):
     sa += [float(np.sum(t * t)) for t in fa.tensors]
     sb += [float(np.sum(t * t)) for t in fb.tensors]
     for a, b in zip(sa, sb):
-        if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
+        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
             return "distinct"
     return f"indistinguishable_at_order_{order}"
 
@@ -334,13 +332,13 @@ def _bracket_distance(mu, lam):
 
 
 def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
-                         limit_pair=None, invariant_count=3):
+                         limit_pair=None):
     """Tabulate convergence diagnostics of a parameter sequence.
 
     Builds family members for every parameter tuple and compares them
     with the limit bracket: structure-constant distance (when the
     ambient dimensions agree), membership verdicts, Ricci power traces
-    f_1..f_count with gaps against the limit, injectivity lower bounds,
+    f_1..f_3 with gaps against the limit, injectivity lower bounds,
     and topology flags against limit_pair when integer pairs are
     supplied.  Returns a list of plain dicts, one per member.
     """
@@ -352,7 +350,7 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
         raise ValueError(f"{len(topology_pairs)} topology pairs for "
                          f"{len(params_seq)} parameter tuples")
     limit_member = check_membership(limit).passed
-    f_limit = scalar_invariants(limit, invariant_count) if limit_member else None
+    f_limit = scalar_invariants(limit, 3) if limit_member else None
     rows = []
     for idx, params in enumerate(params_seq):
         try:
@@ -369,7 +367,7 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
         }
         row["bracket_distance"] = (_bracket_distance(mu, limit)
                                    if mu.dim == limit.dim else None)
-        fs = scalar_invariants(mu, invariant_count)
+        fs = scalar_invariants(mu, 3)
         for j, v in enumerate(fs, start=1):
             row[f"f{j}"] = v
         if f_limit is not None:

@@ -116,8 +116,6 @@ def cmd_invariants(args):
 def cmd_distance(args):
     mu = br.read_bracket(args.bracket)
     lam = br.read_bracket(args.other)
-    if mu.n != lam.n:
-        return _fail("tangent dimensions differ")
     print(f"{cu.invariant_distance(mu, lam, order=args.order)!r}")
     return 0
 

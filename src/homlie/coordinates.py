@@ -331,13 +331,11 @@ def is_completely_solvable(mu):
     span = np.eye(dim)
     for _ in range(dim + 1):
         images = np.concatenate([a @ span for a in ads], axis=1)
-        sv = np.linalg.svd(images, compute_uv=False)
-        smax = sv[0] if sv.size else 0.0
-        if smax <= 1e-12 * (1.0 + bracket_norm(mu)):
+        # span keeps rank >= 1, so images has a singular value
+        u, sv, _ = np.linalg.svd(images, full_matrices=False)
+        if sv[0] <= 1e-12 * (1.0 + bracket_norm(mu)):
             return "certified"
-        rank = int(np.sum(sv > 1e-10 * smax))
-        u, _, _ = np.linalg.svd(images)
-        span = u[:, :rank]
+        span = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
 
     rng = np.random.default_rng(_REFUTATION_SEED)
     directions = list(np.eye(dim))
@@ -361,13 +359,9 @@ def injectivity_bound(mu):
     returned, which is rigorous for q = 0 and only a heuristic for
     q > 0, flagged accordingly.
     """
-    if mu.q == 0:
-        if is_completely_solvable(mu) == "certified":
-            return InjectivityBound(math.inf, "completely_solvable", False)
-        nrm = bracket_norm(mu)
-        if nrm == 0.0:
-            return InjectivityBound(math.inf, "completely_solvable", False)
-        return InjectivityBound(math.pi / nrm, "norm_bound", False)
+    if mu.q == 0 and is_completely_solvable(mu) == "certified":
+        return InjectivityBound(math.inf, "completely_solvable", False)
+    # a q = 0 bracket of float norm 0.0 is certified above
     nrm = bracket_norm(mu)
     lower = math.inf if nrm == 0.0 else math.pi / nrm
-    return InjectivityBound(lower, "norm_bound", True)
+    return InjectivityBound(lower, "norm_bound", mu.q > 0)

@@ -448,7 +448,7 @@ def invariant_distance(mu, lam, order=1):
     Identical arguments give identical output.
     """
     if mu.n != lam.n:
-        raise ValueError("fingerprint comparison needs matching tangent dimensions")
+        raise ValueError(f"tangent dimensions differ (n = {mu.n} and n = {lam.n})")
     n = mu.n
     if n > MAX_ORBIT_DIM:
         raise ValueError(f"orbit distance needs n <= MAX_ORBIT_DIM = {MAX_ORBIT_DIM} "
@@ -471,7 +471,8 @@ def invariant_distance(mu, lam, order=1):
     ua, ub = _invariant_frame(wa), _invariant_frame(wb)
     scores, signs = _sign_scores([rotate_tensor(ua.T, t) for t in wa],
                                  [rotate_tensor(ub.T, t) for t in wb])
-    values = np.concatenate([[np.linalg.norm(misfit(np.eye(n)))], np.sqrt(scores)])
+    identity = np.linalg.norm(np.concatenate([(ta - tb).ravel() for ta, tb in zip(wa, wb)]))
+    values = np.concatenate([[identity], np.sqrt(scores)])
     best = int(np.argmin(values))
     h0 = np.eye(n) if best == 0 else ub @ (signs[best - 1][:, None] * ua.T)
     scale = math.sqrt(sum(float(np.sum(t * t)) for t in wa + wb))

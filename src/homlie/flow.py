@@ -158,8 +158,8 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     by the embedded 5(4) error estimate against atol + rtol * |state|;
     blow-up is declared when the bracket norm exceeds blow_up, for a
     plain flow that starts above it before the first step.  Every
-    record_stride-th accepted step is recorded (plus the initial and
-    final states).
+    record_stride-th accepted step is recorded, plus the initial state
+    and, once, the state the run ends at, whatever its status.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -225,26 +225,24 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
                 scale = scale / nrm
             fy = f(y)
             accepted += 1
-            done = t >= t_end - 1e-12 * max(1.0, t_end)
             if np.linalg.norm(y) > blow_up:
-                samples.append(sample(t, y, _residual(y, fy)))
                 status = "blow_up_detected"
                 break
-            if done or accepted % record_stride == 0:
-                samples.append(sample(t, y, _residual(y, fy)))
-            if done:
+            if t >= t_end - 1e-12 * max(1.0, t_end):
                 status = "completed"
                 break
+            if accepted % record_stride == 0:
+                samples.append(sample(t, y, _residual(y, fy)))
 
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         dt = dt * min(5.0, max(0.2, factor))
         if t + dt > t_end:
             dt = t_end - t
         if dt < 1e-14 * max(1.0, abs(t)):
-            samples.append(sample(t, y, _residual(y, fy)))
             status = "step_underflow"
             break
 
-    if status == "max_steps" and samples[-1].t < t:
+    # the final state, once, whatever ended the run
+    if samples[-1].t < t:
         samples.append(sample(t, y, _residual(y, fy)))
     return FlowTrajectory(status, samples, q, n)

@@ -20,18 +20,22 @@ def coprime_pairs():
 # commutant of the isotropy action
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("params,expected_dim", [
-    ((1, 2, 1, 2, 1, -1, 1, -1), 5),    # two inequivalent rotation weights
-    ((0, 2, 1, 1, 1, 0, 1, -2), 11),    # weight zero doubles one block
-    ((1, 1, 1, 1, 1, 1, -1, -1), 9),    # equal weights merge the blocks
-], ids=["p<q", "p=0", "p=q"])
-def test_commutant_dimension_tracks_isotropy_weights(params, expected_dim):
-    mu = br.circle_isotropy5(*params)
+@pytest.mark.parametrize("mu,expected_dim", [
+    (br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1), 5),    # two inequivalent rotation weights
+    (br.circle_isotropy5(0, 2, 1, 1, 1, 0, 1, -2), 11),    # weight zero doubles one block
+    (br.circle_isotropy5(1, 1, 1, 1, 1, 1, -1, -1), 9),    # equal weights merge the blocks
+    # a 2-torus turning two planes at independent rates: 4 = 2 x gl_1(C)
+    (br.resplit(br.circle_isotropy5(math.sqrt(2.0), 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, 1.0,
+                                    rational_ratio=False), 2), 4),
+], ids=["p<q", "p=0", "p=q", "q=2"])
+def test_commutant_dimension_tracks_isotropy_weights(mu, expected_dim):
+    q = mu.q
     basis = cl.commutant(mu)
     assert len(basis) == expected_dim
-    ad = mu.c[0, 1:, 1:].T
-    for b in basis:
-        assert np.max(np.abs(ad @ b - b @ ad)) <= 1e-12
+    for z in range(q):
+        ad = mu.c[z, q:, q:].T
+        for b in basis:
+            assert np.max(np.abs(ad @ b - b @ ad)) <= 1e-12
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             want = 1.0 if i == j else 0.0

@@ -243,6 +243,16 @@ def test_flow_singularity_exits_2(su2_file, capsys):
     assert "status:" in err
 
 
+def test_flow_step_underflow_writes_no_repeated_row(su2_file, capsys):
+    code = main(["flow", su2_file, "--t-end", "2", "--constants"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "status: step_underflow" in captured.err
+    rows = captured.out.splitlines()[2:]
+    assert len(rows) > 10
+    assert all(a != b for a, b in zip(rows, rows[1:]))
+
+
 def test_flow_q1_blow_up_exits_2_with_partial_csv(tmp_path, capsys):
     # the plain flow reaches |mu| > 1e8 near t = 0.219; the recorded
     # states keep passing the membership check all the way there

@@ -275,6 +275,16 @@ def test_injectivity_infinite_for_nilpotent():
     assert bound.method == "completely_solvable"
 
 
+@pytest.mark.parametrize("mu", [
+    abelian(3),
+    br.milnor_bracket(1e-170, 1e-170, 1e-170),   # squares underflow: float norm 0.0
+], ids=["zero", "underflow"])
+def test_injectivity_of_float_norm_zero_is_certified(mu):
+    bound = co.injectivity_bound(mu)
+    assert (bound.lower, bound.method, bound.heuristic) == \
+        (math.inf, "completely_solvable", False)
+
+
 def test_injectivity_q_positive_is_heuristic():
     bound = co.injectivity_bound(br.circle_isotropy3(1.0, 0.0, 1.0, 1.0))
     assert bound.heuristic is True

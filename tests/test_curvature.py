@@ -274,7 +274,7 @@ def test_invariant_distance_separates_distinct_geometries():
 
 
 def test_invariant_distance_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"dimensions differ \(n = 3 and n = 4\)"):
         cu.invariant_distance(br.milnor_bracket(1, 1, 1),
                               br.random_member(0, 4, seed=0))
 

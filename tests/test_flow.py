@@ -248,6 +248,14 @@ def test_step_underflow_near_singularity():
     assert traj.final.t == pytest.approx(1.0, abs=1e-6)
 
 
+def test_step_underflow_records_the_final_state_once():
+    # at default settings the round bracket's step collapses near t = 1;
+    # with stride 1 the last accepted step has recorded the state it stops at
+    traj = fl.integrate(unit_su2(), 2.0)
+    assert traj.status == "step_underflow"
+    assert traj.samples[-2].t < traj.final.t
+
+
 def test_max_steps_status():
     traj = fl.integrate(unit_su2(), 2.0, max_steps=3)
     assert traj.status == "max_steps"
