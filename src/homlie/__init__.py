@@ -25,6 +25,7 @@ from .brackets import (
     circle_isotropy3,
     circle_isotropy5,
     default_tolerance,
+    family_member,
     flat_degeneration,
     gl_action,
     jacobiator,
@@ -39,7 +40,6 @@ from .coordinates import (
     MetricJet,
     coordinate_curvature_oracle,
     curvature_derivatives,
-    dexp_series,
     injectivity_bound,
     is_completely_solvable,
     metric_jet,
@@ -99,7 +99,7 @@ __all__ = [
     "curvature_data",
     "curvature_derivatives",
     "default_tolerance",
-    "dexp_series",
+    "family_member",
     "fingerprint",
     "flat_degeneration",
     "gl_action",

@@ -50,6 +50,7 @@ __all__ = [
     "circle_isotropy3",
     "circle_isotropy5",
     "aloff_wallach_bracket",
+    "family_member",
     "random_member",
     "read_bracket",
     "write_bracket",
@@ -58,6 +59,17 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
+
+# Largest q + n a bracket document may declare.  The membership check
+# builds the dim^4 Jacobi tensor, 8 MB at this size; the largest family
+# here (Aloff-Wallach) has q + n = 8.
+MAX_DIM = 32
+
+# Largest ||mu||^2 a bracket built from entries may carry.  The Jacobi
+# residual is at most 3 ||mu||^2 and the curvature a small multiple of
+# it, so this leaves a factor of 1e8 before any of them overflows a float.
+MAX_NORM_SQ = 1e300
+_TOO_LARGE = f"entries too large: ||mu||^2 exceeds {MAX_NORM_SQ:g}"
 
 
 def _is_exact(values):
@@ -151,16 +163,28 @@ class Bracket:
     def from_entries(cls, q, n, entries, family=None, params=None):
         """Build from sparse entries [(i, j, k, value), ...] with i < j.
 
-        Antisymmetric counterparts are filled in automatically.  Exact
-        (int / Fraction) values produce an exact bracket.
+        Antisymmetric counterparts are filled in automatically; repeated
+        (i, j, k) add up.  Exact (int / Fraction) values produce an exact
+        bracket.  The summed constants must be finite and ||mu||^2 at most
+        MAX_NORM_SQ; both are checked before the dense array is allocated.
         """
         dim = q + n
         exact = _is_exact([e[3] for e in entries]) and len(entries) > 0
-        c = _zeros((dim, dim, dim), exact)
+        values = {}
         for i, j, k, v in entries:
             if not (0 <= i < j < dim) or not 0 <= k < dim:
                 raise ValueError(f"entry ({i}, {j}, {k}) out of range or not upper-triangular")
-            v = Fraction(v) if exact else float(v)
+            try:
+                v = Fraction(v) if exact else float(v)
+            except OverflowError:
+                raise ValueError(_TOO_LARGE) from None
+            values[i, j, k] = values.get((i, j, k), 0) + v
+        if not exact and not all(map(math.isfinite, values.values())):
+            raise ValueError("structure constants must be finite")
+        if not 2 * sum(v * v for v in values.values()) <= MAX_NORM_SQ:
+            raise ValueError(_TOO_LARGE)
+        c = _zeros((dim, dim, dim), exact)
+        for (i, j, k), v in values.items():
             c[i, j, k] = c[i, j, k] + v
             c[j, i, k] = c[j, i, k] - v
         return cls(q, n, c, family=family, params=params)
@@ -284,7 +308,7 @@ def check_membership(mu, tol=None):
         if smax == 0.0:
             h4_dim = q
         else:
-            h4_dim = int(np.sum(sv <= tol * smax / (1.0 + float(np.sum(c * c)))))
+            h4_dim = int(np.sum(sv <= tol / (1.0 + float(np.sum(c * c))) * smax))
 
     return MembershipReport(q, n, float(tol), jac, sub, _h2_status(mu), h3, h4_dim)
 
@@ -432,7 +456,7 @@ def circle_isotropy3(a, b, c, d):
                                 params={"a": a, "b": b, "c": c, "d": d})
 
 
-def circle_isotropy5(p, q, a, b, c, d, e, f, rational_ratio=True):
+def circle_isotropy5(p, q, a, b, c, d, e, f, *, rational_ratio=True):
     """Eight-parameter family with one isotropy direction and n = 5.
 
     e0 spans the isotropy; e1..e5 are tangent.  Nonzero brackets:
@@ -461,7 +485,7 @@ def circle_isotropy5(p, q, a, b, c, d, e, f, rational_ratio=True):
                                         "rational_ratio": bool(rational_ratio)})
 
 
-def aloff_wallach_bracket(p, q, a, b, c, d, rational_ratio=True):
+def aloff_wallach_bracket(p, q, a, b, c, d, *, rational_ratio=True):
     """Bracket presenting an Aloff-Wallach space with a 4-parameter metric.
 
     q = 1, n = 7; requires a, b, c, d > 0.  The underlying algebra is
@@ -499,6 +523,35 @@ def aloff_wallach_bracket(p, q, a, b, c, d, rational_ratio=True):
                                 params={"p": p, "q": q, "a": a, "b": b, "c": c,
                                         "d": d,
                                         "rational_ratio": bool(rational_ratio)})
+
+
+_FAMILIES = {
+    "milnor": milnor_bracket,
+    "circle3": circle_isotropy3,
+    "circle5": circle_isotropy5,
+    "aloff_wallach": aloff_wallach_bracket,
+}
+
+
+def family_member(name, params, irrational=False):
+    """The member of the named family with the given parameters.
+
+    name is one of milnor, circle3, circle5 and aloff_wallach; params
+    are the constructor's positional parameters, and irrational passes
+    rational_ratio=False.  Raises ValueError for an unknown name and for
+    parameters the constructor refuses, including constants that are
+    not finite or exceed MAX_NORM_SQ.
+    """
+    try:
+        ctor = _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}; choose from "
+                         + ", ".join(sorted(_FAMILIES))) from None
+    try:
+        return ctor(*params, **({"rational_ratio": False} if irrational else {}))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot build {name} from ({', '.join(map(str, params))}): "
+                         f"{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +667,6 @@ def _param_to_json(value, exact):
     return float(value)
 
 
-# Largest q + n a bracket document may declare.  The membership check
-# builds the dim^4 Jacobi tensor, 8 MB at this size; the largest family
-# here (Aloff-Wallach) has q + n = 8.
-MAX_DIM = 32
-
-# Largest ||mu||^2 a bracket document may carry.  The Jacobi residual is
-# at most 3 ||mu||^2 and the curvature a small multiple of it, so this
-# leaves a factor of 1e8 before any of them overflows a float.
-MAX_NORM_SQ = 1e300
-
 # Most digits an exact document value may spell out, counting its decimal
 # exponent: Fraction("1e999999999") would build a billion-digit integer.
 MAX_EXACT_DIGITS = 1000
@@ -633,7 +676,8 @@ def _bounded_digits(text):
     """text, once its digit count is known to be at most MAX_EXACT_DIGITS."""
     mantissa, _, exponent = text.lower().partition("e")
     try:
-        digits = len(mantissa) + abs(int(exponent or 0))
+        # a sign is not a digit: a value and its negative pass alike
+        digits = len(mantissa.lstrip("+-")) + abs(int(exponent or 0))
     except ValueError:
         digits = len(text)      # not a number; Fraction says so if it is short
     if digits > MAX_EXACT_DIGITS:
@@ -648,10 +692,10 @@ def bracket_from_dict(data):
     A value may be a number or a string parsed by Fraction ("1/2",
     "-3", "0.25").  When every value is a string the bracket is exact,
     otherwise it is float.  String values in "params" are read as
-    Fractions too.  q + n and ||mu||^2 (at most MAX_DIM and
-    MAX_NORM_SQ) are checked before the dense array is allocated, and
-    the digits of every string (at most MAX_EXACT_DIGITS) before it is
-    parsed.
+    Fractions too.  q + n (at most MAX_DIM) is checked before anything
+    is allocated and the digits of every string (at most
+    MAX_EXACT_DIGITS) before it is parsed; Bracket.from_entries bounds
+    the constants.
     """
     try:
         q, n, entries = data["q"], data["n"], data["entries"]
@@ -685,22 +729,15 @@ def bracket_from_dict(data):
     strings = [_bounded_digits(ent[3]) for ent in entries
                if isinstance(ent, (list, tuple)) and len(ent) == 4 and isinstance(ent[3], str)]
     exact = 0 < len(strings) == len(entries)
-    values = {}
+    values = []
     for ent in entries:
         try:
             i, j, k, v = ent
-            key = int(i), int(j), int(k)
             v = Fraction(v) if isinstance(v, str) else v
-            v = v if exact else float(v)
+            values.append((int(i), int(j), int(k), v if exact else float(v)))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed entry {ent!r}: expected [i, j, k, value]") from exc
-        values[key] = values.get(key, 0) + v
-    if not exact and not all(map(math.isfinite, values.values())):
-        raise ValueError("structure constants must be finite")
-    if not 2 * sum(v * v for v in values.values()) <= MAX_NORM_SQ:
-        raise ValueError(f"entries too large: ||mu||^2 exceeds {MAX_NORM_SQ:g}")
-    return Bracket.from_entries(q, n, [key + (v,) for key, v in values.items()],
-                                family=data.get("family"), params=params)
+    return Bracket.from_entries(q, n, values, family=data.get("family"), params=params)
 
 
 def common_denominator(values):

@@ -26,8 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .brackets import bracket_norm, check_membership
-from .brackets import milnor_bracket, circle_isotropy3, circle_isotropy5, aloff_wallach_bracket
+from .brackets import check_membership, family_member
 from .coordinates import injectivity_bound
 from .curvature import fingerprint, scalar_invariants
 
@@ -40,24 +39,17 @@ __all__ = [
     "sequence_diagnostics",
 ]
 
-FAMILY_CONSTRUCTORS = {
-    "milnor": milnor_bracket,
-    "circle3": circle_isotropy3,
-    "circle5": circle_isotropy5,
-    "aloff_wallach": aloff_wallach_bracket,
-}
-
-
 def commutant(mu):
     """Basis of the matrices commuting with every ad(z)|_tangent, z in R^q.
 
     Returns a list of n x n matrices, orthonormal in the Frobenius inner
     product, spanning the real commutant algebra: the right singular
     vectors of the stacked commutator maps whose singular values are at
-    most 1e-10 max(1, sigma_max).  The dimension reconstructs the
-    isotypic decomposition of the isotropy action: each isotypic block
-    of multiplicity m over R, C or H contributes a full matrix algebra
-    gl_m over that division algebra.  Requires q >= 1.
+    most 1e-10 sigma_max, so that it does not depend on the scale of mu.
+    The dimension reconstructs the isotypic decomposition of the
+    isotropy action: each isotypic block of multiplicity m over R, C or
+    H contributes a full matrix algebra gl_m over that division algebra.
+    Requires q >= 1.
     """
     q, n = mu.q, mu.n
     if q < 1:
@@ -70,7 +62,7 @@ def commutant(mu):
         rows.append(np.kron(eye, m.T) - np.kron(m, eye))
     # q n^2 >= n^2 rows, so there is one singular value per basis matrix
     _, sv, vt = np.linalg.svd(np.vstack(rows))
-    return [v.reshape(n, n) for v, s in zip(vt, sv) if s <= 1e-10 * max(1.0, sv[0])]
+    return [v.reshape(n, n) for v, s in zip(vt, sv) if s <= 1e-10 * sv[0]]
 
 
 def isometry_test(mu, lam, order=2):
@@ -340,24 +332,20 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
     ambient dimensions agree), membership verdicts, Ricci power traces
     f_1..f_3 with gaps against the limit, injectivity lower bounds,
     and topology flags against limit_pair when integer pairs are
-    supplied.  Returns a list of plain dicts, one per member.
+    supplied.  Returns a list of plain dicts, one per member.  Raises
+    ValueError for an empty sequence and for a family or parameter tuple
+    that family_member refuses.
     """
-    try:
-        ctor = FAMILY_CONSTRUCTORS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
+    if not params_seq:
+        raise ValueError("no parameter tuples to tabulate")
+    members = [family_member(family, params) for params in params_seq]
     if topology_pairs is not None and len(topology_pairs) != len(params_seq):
         raise ValueError(f"{len(topology_pairs)} topology pairs for "
                          f"{len(params_seq)} parameter tuples")
     limit_member = check_membership(limit).passed
     f_limit = scalar_invariants(limit, 3) if limit_member else None
     rows = []
-    for idx, params in enumerate(params_seq):
-        try:
-            mu = ctor(*params)
-        except TypeError as exc:
-            raise ValueError(f"cannot build a {family} member from {tuple(params)}: "
-                             f"{exc}") from None
+    for idx, (params, mu) in enumerate(zip(params_seq, members)):
         rep = check_membership(mu)
         row = {
             "index": idx,

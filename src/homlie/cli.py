@@ -192,18 +192,20 @@ def cmd_flow(args):
 
 
 def _parse_params(text):
+    """Comma-separated numbers: p/q a Fraction, digits an int, else a float.
+
+    An int or Fraction token passes the digit bound of bracket files first.
+    """
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
+        exact = "/" in tok or tok.lstrip("+-").isdigit()
+        if exact:
+            br._bounded_digits(tok)
         try:
-            if "/" in tok:
-                out.append(Fraction(tok))
-            elif tok.lstrip("+-").isdigit():
-                out.append(int(tok))
-            else:
-                out.append(float(tok))
+            out.append((Fraction if "/" in tok else int)(tok) if exact else float(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad parameter {tok!r} in {text!r}") from None
     return out
@@ -219,19 +221,7 @@ def _parse_pair(text):
 
 
 def cmd_family(args):
-    try:
-        ctor = cl.FAMILY_CONSTRUCTORS[args.name]
-    except KeyError:
-        return _fail(f"unknown family {args.name!r}; choose from "
-                     + ", ".join(sorted(cl.FAMILY_CONSTRUCTORS)))
-    params = _parse_params(args.params)
-    try:
-        if args.irrational:
-            mu = ctor(*params, rational_ratio=False)
-        else:
-            mu = ctor(*params)
-    except (TypeError, ValueError) as exc:
-        return _fail(f"cannot build family member: {exc}")
+    mu = br.family_member(args.name, _parse_params(args.params), args.irrational)
     _print_report(br.check_membership(mu))
     if args.output:
         _write_json(args.output, br.bracket_to_dict(mu))
@@ -239,10 +229,7 @@ def cmd_family(args):
 
 
 def cmd_aw(args):
-    try:
-        rep = cl.aw_equivalence(args.p, args.q, args.pt, args.qt)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rep = cl.aw_equivalence(args.p, args.q, args.pt, args.qt)
     for key, value in rep.to_dict().items():
         print(f"{key}: {value}")
     return 0
@@ -254,11 +241,8 @@ def cmd_sequence(args):
     pairs = ([_parse_pair(p) for p in args.pairs.split(";") if p.strip()]
              if args.pairs else None)
     limit_pair = _parse_pair(args.limit_pair) if args.limit_pair else None
-    try:
-        rows = cl.sequence_diagnostics(args.family, params_seq, limit,
-                                       topology_pairs=pairs, limit_pair=limit_pair)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rows = cl.sequence_diagnostics(args.family, params_seq, limit,
+                                   topology_pairs=pairs, limit_pair=limit_pair)
     keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "index", k))
     _write_rows(args.output, keys, ([row.get(k) for k in keys] for row in rows))
     return 0

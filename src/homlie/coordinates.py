@@ -35,7 +35,6 @@ from .brackets import (bracket_norm, common_denominator, from_integers,
 from .polyjet import PolySpace
 
 __all__ = [
-    "dexp_series",
     "MetricJet",
     "metric_jet",
     "coordinate_curvature_oracle",
@@ -44,31 +43,6 @@ __all__ = [
     "injectivity_bound",
     "is_completely_solvable",
 ]
-
-
-def ad_matrix(mu, x):
-    """Matrix of ad(x) = mu(x, .) on R^(q+n)."""
-    c = mu.float_c
-    return np.einsum("k,kvu->uv", np.asarray(x, float), c)
-
-
-def dexp_series(mu, x, terms):
-    """Partial sum of A(x) with the given number of terms.
-
-    Returns sum_{k=0}^{terms-1} (-1)^k / (k+1)! (ad x)^k as a dense
-    (q+n) x (q+n) matrix.  The tail after T terms is bounded in operator
-    norm by ||ad x||^T / (T+1)! * exp(||ad x||).
-    """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    dim = mu.dim
-    adx = ad_matrix(mu, x)
-    acc = np.eye(dim)
-    power = np.eye(dim)
-    for k in range(1, terms):
-        power = power @ adx
-        acc += ((-1) ** k / math.factorial(k + 1)) * power
-    return acc
 
 
 class MetricJet:
@@ -325,6 +299,13 @@ def is_completely_solvable(mu):
         raise ValueError("complete solvability test applies to q = 0 only")
     dim = mu.dim
     c = mu.float_c
+    # nilpotency and real spectra do not change under mu -> s mu, so both
+    # tests run on constants of unit size
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        return "certified"
+    c = c / scale
+    norm = float(np.sqrt(np.sum(c * c)))
     ads = np.array([c[i].T for i in range(dim)])
 
     # nilpotency via the lower central series
@@ -333,7 +314,7 @@ def is_completely_solvable(mu):
         images = np.concatenate([a @ span for a in ads], axis=1)
         # span keeps rank >= 1, so images has a singular value
         u, sv, _ = np.linalg.svd(images, full_matrices=False)
-        if sv[0] <= 1e-12 * (1.0 + bracket_norm(mu)):
+        if sv[0] <= 1e-12 * (1.0 + norm):
             return "certified"
         span = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
 
@@ -361,7 +342,11 @@ def injectivity_bound(mu):
     """
     if mu.q == 0 and is_completely_solvable(mu) == "certified":
         return InjectivityBound(math.inf, "completely_solvable", False)
-    # a q = 0 bracket of float norm 0.0 is certified above
     nrm = bracket_norm(mu)
+    if nrm * nrm < np.finfo(float).tiny:
+        # the sum of squares underflowed: ||mu|| = m ||mu / m||, m = max |c|
+        c = mu.float_c
+        m = float(np.max(np.abs(c)))
+        nrm = m * float(np.sqrt(np.sum((c / m) ** 2))) if m else 0.0
     lower = math.inf if nrm == 0.0 else math.pi / nrm
     return InjectivityBound(lower, "norm_bound", mu.q > 0)

@@ -6,6 +6,7 @@ oracles use only plain numpy operations, so that agreement between the
 library and these functions is meaningful evidence.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,29 @@ def milnor_ricci_eigenvalues(a, b, c):
     return sorted([0.5 * (a * a - (b - c) ** 2),
                    0.5 * (b * b - (a - c) ** 2),
                    0.5 * (c * c - (a - b) ** 2)], reverse=True)
+
+
+def ad_matrix(mu, x):
+    """Matrix of ad(x) = mu(x, .) on R^(q+n)."""
+    return np.einsum("k,kvu->uv", np.asarray(x, float), mu.float_c)
+
+
+def dexp_series(mu, x, terms):
+    """Partial sum of A(x) = (I - exp(-ad x)) / ad x with the given number of terms.
+
+    Returns sum_{k=0}^{terms-1} (-1)^k / (k+1)! (ad x)^k as a dense
+    (q+n) x (q+n) matrix.  The tail after T terms is bounded in operator
+    norm by ||ad x||^T / (T+1)! * exp(||ad x||).
+    """
+    if terms < 1:
+        raise ValueError("need at least one term")
+    adx = ad_matrix(mu, x)
+    acc = np.eye(mu.dim)
+    power = np.eye(mu.dim)
+    for k in range(1, terms):
+        power = power @ adx
+        acc += ((-1) ** k / math.factorial(k + 1)) * power
+    return acc
 
 
 def lauret_ricci(mu):

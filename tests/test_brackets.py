@@ -351,7 +351,8 @@ def test_default_tolerance_tracks_norm():
     assert br.default_tolerance(small) == pytest.approx(1e-10 * (1 + 6.0))
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+# 1e140: |mu|^2 near 1e282, where tol * sigma_max would overflow a float
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5, 1e140])
 @pytest.mark.parametrize("mu", [
     br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
     br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0),

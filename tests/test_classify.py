@@ -42,6 +42,17 @@ def test_commutant_dimension_tracks_isotropy_weights(mu, expected_dim):
             assert np.sum(bi * bj) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-11, 1e-9, 1.0, 1e6])
+def test_commutant_dimension_does_not_depend_on_scale(s):
+    # one weight on a 2-plane and a trivial line: 3 = gl_1(C) + gl_1(R)
+    mu = br.circle_isotropy3(s, 2 * s, s, 3 * s)
+    basis = cl.commutant(mu)
+    assert len(basis) == 3
+    ad = mu.c[0, 1:, 1:].T
+    for b in basis:
+        assert np.max(np.abs(ad @ b - b @ ad)) <= 1e-12 * np.max(np.abs(ad))
+
+
 def test_commutant_requires_isotropy():
     with pytest.raises(ValueError):
         cl.commutant(br.milnor_bracket(1, 1, 1))

@@ -474,24 +474,48 @@ def _short_last_row(path):
     path.write_text("# q=0 n=3\n" + "\n".join(rows) + "\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["family", "milnor", "--params", "1/0,1,1"],
-    ["sequence", "milnor", "--params-list", "1,1/0,1", "--limit", "H3"],
-    ["sequence", "milnor", "--params-list", "1,1", "--limit", "H3"],
-    ["sequence", "milnor", "--params-list", "1,1,1;1,2,2", "--limit", "H3",
-     "--pairs", "1:2", "--limit-pair", "1:1"],
-    ["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
-     "--pairs", "1:2", "--limit-pair", "1"],
-    ["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
-     "--pairs", "1", "--limit-pair", "1:1"],
-    ["flow", "NO_N", "--resume", "--t-end", "0.5"],
-    ["flow", "SHORT_ROW", "--resume", "--t-end", "0.5"],
-    ["flow", "HUGE_N", "--resume", "--t-end", "0.5"],
-    ["flow", "LONG_FIELD", "--resume", "--t-end", "0.5"],
+# a 401-digit integer, and a fraction whose denominator has 1 501 digits
+_HUGE_INT = "1" + "0" * 400
+_LONG_FRACTION = "1/1" + "0" * 1500
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["family", "milnor", "--params", "1/0,1,1"], "bad parameter '1/0'"),
+    (["sequence", "milnor", "--params-list", "1,1/0,1", "--limit", "H3"], "bad parameter '1/0'"),
+    (["sequence", "milnor", "--params-list", "1,1", "--limit", "H3"],
+     "missing 1 required positional argument"),
+    (["sequence", "milnor", "--params-list", "1,1,1;1,2,2", "--limit", "H3",
+      "--pairs", "1:2", "--limit-pair", "1:1"], "1 topology pairs for 2 parameter tuples"),
+    (["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
+      "--pairs", "1:2", "--limit-pair", "1"], "expected an integer pair p:q"),
+    (["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3",
+      "--pairs", "1", "--limit-pair", "1:1"], "expected an integer pair p:q"),
+    (["flow", "NO_N", "--resume", "--t-end", "0.5"], "not '# q=.. n=..'"),
+    (["flow", "SHORT_ROW", "--resume", "--t-end", "0.5"], "the last row has 4 fields"),
+    (["flow", "HUGE_N", "--resume", "--t-end", "0.5"], "exceeds the largest supported dimension"),
+    (["flow", "LONG_FIELD", "--resume", "--t-end", "0.5"], "is not a trajectory CSV"),
+    (["family", "milnor", "--params", f"{_HUGE_INT},1,1"], "entries too large"),
+    (["family", "milnor", "--params", f"{_HUGE_INT},1,1.0"], "entries too large"),
+    (["family", "aloff_wallach", "--params", f"{_HUGE_INT},1,1,1,1,1"],
+     "int too large to convert to float"),
+    (["family", "milnor", "--params", "1e200,1,1"], "entries too large"),
+    (["sequence", "milnor", "--params-list", "1e200,1,1", "--limit", "H3"], "entries too large"),
+    (["family", "circle5", "--params", "1,2,1,2,1,-1,1,-1,0"],
+     "takes 8 positional arguments but 9 were given"),
+    (["family", "aloff_wallach", "--params", "1,2,1,1,1,1,0"],
+     "takes 6 positional arguments but 7 were given"),
+    (["family", "milnor", "--params", "1e200,1,1", "--output", "OUT"], "entries too large"),
+    (["family", "milnor", "--params", f"{_LONG_FRACTION},1,1", "--output", "OUT"],
+     "MAX_EXACT_DIGITS"),
+    (["sequence", "milnor", "--params-list", ";", "--limit", "H3"], "no parameter tuples"),
 ], ids=["zero_denominator", "sequence_zero_denominator", "too_few_params",
         "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
-        "resume_oversized", "resume_field_above_csv_limit"])
-def test_malformed_input_exits_1_without_traceback(argv, h3_file, tmp_path, capsys):
+        "resume_oversized", "resume_field_above_csv_limit", "family_huge_integer",
+        "family_huge_integer_float_bracket", "aloff_wallach_huge_integer",
+        "family_overflowing_norm", "sequence_overflowing_norm",
+        "circle5_extra_param", "aloff_wallach_extra_param", "family_output_overflowing_norm",
+        "family_output_long_denominator", "sequence_without_params"])
+def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_path, capsys):
     (tmp_path / "no_n.csv").write_text("# q=0 x=3\nt,norm\n0.0,1.0\n")
     # q + n above brackets.MAX_DIM is refused before anything is allocated
     (tmp_path / "huge.csv").write_text("# q=0 n=1000000\nt,norm\n0.0,1.0\n")
@@ -500,11 +524,24 @@ def test_malformed_input_exits_1_without_traceback(argv, h3_file, tmp_path, caps
     (tmp_path / "long.csv").write_text("# q=0 n=3\nt,norm\n" + "1" * 200000 + ",1.0\n")
     files = {"H3": h3_file, "NO_N": str(tmp_path / "no_n.csv"),
              "SHORT_ROW": str(tmp_path / "short.csv"), "HUGE_N": str(tmp_path / "huge.csv"),
-             "LONG_FIELD": str(tmp_path / "long.csv")}
-    assert main([files.get(a, a) for a in argv]) == 1
+             "LONG_FIELD": str(tmp_path / "long.csv"), "OUT": str(tmp_path / "out.json")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("family, params", [("torus", "1,1,1"), ("milnor", "1,1")])
+def test_family_and_sequence_word_errors_alike(h3_file, capsys, family, params):
+    assert main(["family", family, "--params", params]) == 1
+    from_family = capsys.readouterr().err
+    assert main(["sequence", family, "--params-list", params, "--limit", h3_file]) == 1
+    assert capsys.readouterr().err == from_family
 
 
 def test_reproduce_writes_named_csv(tmp_path):
@@ -716,3 +753,52 @@ def test_fuzzed_resume_files_exit_cleanly(tmp_path, capsys, columns, data):
     _resume_file(path, meta.replace("\n", " "), columns, row)
     code = main(["flow", str(path), "--resume", *_FLOW])
     _assert_clean_exit(code, capsys.readouterr().err)
+
+
+# parameter lists of the four families' lengths, or of any length up to 9,
+# drawn from the numbers of the bracket-file strategies
+_param_text = st.one_of(st.sampled_from([3, 4, 6, 8]), st.integers(0, 9)).flatmap(
+    lambda k: st.lists(_values.map(str), min_size=k, max_size=k)).map(",".join)
+_family_names = st.sampled_from(["milnor", "circle3", "circle5", "aloff_wallach", "torus"])
+
+
+# fuzzed parameters reach 1e308, so numpy overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=_family_names, params=st.lists(_param_text, min_size=1, max_size=3),
+       irrational=st.booleans())
+def test_fuzzed_family_parameters_exit_cleanly(capsys, h3_file, name, params, irrational):
+    code = main(["family", name, f"--params={params[0]}"] + ["--irrational"] * irrational)
+    _assert_clean_exit(code, capsys.readouterr().err)
+    code = main(["sequence", name, f"--params-list={';'.join(params)}", "--limit", h3_file])
+    _assert_clean_exit(code, capsys.readouterr().err)
+
+
+_ARITY = {"milnor": 3, "circle3": 4, "circle5": 8, "aloff_wallach": 6}
+# small values, and values near the bounds of bracket files: ||mu||^2 near
+# MAX_NORM_SQ = 1e300, exact values near MAX_EXACT_DIGITS = 1000
+_member_values = st.one_of(
+    st.integers(-3, 3).map(str), st.floats(-3, 3).map(repr),
+    st.fractions(max_denominator=10).map(str),
+    st.floats(1e140, 1e160).map(repr), st.integers(10**140, 10**160).map(str),
+    st.sampled_from(["1/" + "3" * 998, "-1/" + "3" * 998, "1/" + "3" * 999]))
+_members = st.sampled_from(sorted(_ARITY)).flatmap(lambda name: st.tuples(
+    st.just(name), st.lists(_member_values, min_size=_ARITY[name], max_size=_ARITY[name])))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(member=_members, irrational=st.booleans())
+# milnor writes mu(e0, e2) = -b e1, and the sign makes "-1/33...3" 1 001 characters long
+@example(member=("milnor", ["1", "1/" + "3" * 998, "1"]), irrational=False)
+def test_family_output_is_read_by_check(tmp_path, capsys, member, irrational):
+    name, values = member
+    out = tmp_path / "member.json"
+    out.unlink(missing_ok=True)
+    code = main(["family", name, "--params=" + ",".join(values), "--output", str(out)]
+                + ["--irrational"] * irrational)
+    _assert_clean_exit(code, capsys.readouterr().err)
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert main(["check", str(out)]) == 0

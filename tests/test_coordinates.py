@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import homlie.brackets as br
 import homlie.coordinates as co
-from helpers import degree2_jet_closed_form, exact_bracket
+from helpers import ad_matrix, degree2_jet_closed_form, dexp_series, exact_bracket
 
 
 def abelian(n):
@@ -25,34 +25,34 @@ def toy_sphere(a):
 
 def test_dexp_abelian_is_identity():
     mu = abelian(3)
-    assert np.array_equal(co.dexp_series(mu, np.ones(3), 8), np.eye(3))
+    assert np.array_equal(dexp_series(mu, np.ones(3), 8), np.eye(3))
 
 
 def test_dexp_solves_defining_equation():
     # A(x) * ad(x) = I - exp(-ad(x)) characterizes the series
     mu = br.milnor_bracket(0.8, -0.4, 1.1)
     x = np.array([0.3, -0.2, 0.5])
-    adx = co.ad_matrix(mu, x)
-    a = co.dexp_series(mu, x, 30)
+    adx = ad_matrix(mu, x)
+    a = dexp_series(mu, x, 30)
     assert np.allclose(a @ adx, np.eye(3) - expm(-adx), atol=1e-14)
 
 
 def test_dexp_nilpotent_is_exact_after_two_terms():
     h3 = br.milnor_bracket(1.0, 0.0, 0.0)
     x = np.array([0.7, -0.3, 0.9])
-    adx = co.ad_matrix(h3, x)
+    adx = ad_matrix(h3, x)
     assert np.allclose(adx @ adx, 0.0)
-    assert np.allclose(co.dexp_series(h3, x, 2), co.dexp_series(h3, x, 12))
+    assert np.allclose(dexp_series(h3, x, 2), dexp_series(h3, x, 12))
 
 
 def test_dexp_tail_bound():
     mu = br.milnor_bracket(1.0, 1.0, 1.0)
     x = np.array([0.2, 0.1, -0.3])
-    adx = co.ad_matrix(mu, x)
+    adx = ad_matrix(mu, x)
     nrm = np.linalg.norm(adx, 2)
     for terms in (3, 5, 8):
-        tail = np.linalg.norm(co.dexp_series(mu, x, terms)
-                              - co.dexp_series(mu, x, 40), 2)
+        tail = np.linalg.norm(dexp_series(mu, x, terms)
+                              - dexp_series(mu, x, 40), 2)
         bound = nrm ** terms / math.factorial(terms + 1) * math.exp(nrm)
         assert tail <= bound + 1e-15
 
@@ -152,7 +152,7 @@ def test_jet_evaluate_agrees_with_dexp_product():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = 0.05 * rng.standard_normal(3)
-        a = co.dexp_series(mu, np.concatenate([[0.0], x]), 30)
+        a = dexp_series(mu, np.concatenate([[0.0], x]), 30)
         pa = a[1:, 1:]   # tangent rows and columns
         want = pa.T @ pa
         have = jet.evaluate(x)
@@ -275,14 +275,27 @@ def test_injectivity_infinite_for_nilpotent():
     assert bound.method == "completely_solvable"
 
 
-@pytest.mark.parametrize("mu", [
-    abelian(3),
-    br.milnor_bracket(1e-170, 1e-170, 1e-170),   # squares underflow: float norm 0.0
-], ids=["zero", "underflow"])
-def test_injectivity_of_float_norm_zero_is_certified(mu):
-    bound = co.injectivity_bound(mu)
+def test_injectivity_of_zero_bracket_is_certified():
+    bound = co.injectivity_bound(abelian(3))
     assert (bound.lower, bound.method, bound.heuristic) == \
         (math.inf, "completely_solvable", False)
+
+
+def test_injectivity_of_underflowing_norm_is_finite():
+    # su(2) scaled by 1e-170: the float sum of squares underflows to 0.0
+    s = 1e-170
+    mu = br.milnor_bracket(s, s, s)
+    assert br.bracket_norm(mu) == 0.0
+    bound = co.injectivity_bound(mu)
+    assert (bound.method, bound.heuristic) == ("norm_bound", False)
+    assert bound.lower == pytest.approx(math.pi / (math.sqrt(6.0) * s), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e-13, 1e-6, 1e-3, 1.0, 1e6])
+def test_solvability_verdict_does_not_depend_on_scale(s):
+    assert co.is_completely_solvable(br.milnor_bracket(s, s, s)) == "refuted"
+    assert co.is_completely_solvable(br.milnor_bracket(s, 0.0, 0.0)) == "certified"
+    assert co.is_completely_solvable(br.milnor_bracket(0.0, s, -s)) == "unknown"
 
 
 def test_injectivity_q_positive_is_heuristic():
