@@ -31,6 +31,7 @@ Conventions used throughout the package:
 import json
 import math
 import numbers
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +104,7 @@ class Bracket:
     new Bracket instances.
     """
 
-    __slots__ = ("q", "n", "c", "family", "params")
+    __slots__ = ("q", "n", "c", "family", "params", "_float_c")
 
     def __init__(self, q, n, c, family=None, params=None):
         q = int(q)
@@ -128,6 +129,7 @@ class Bracket:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", dict(params) if params else None)
+        object.__setattr__(self, "_float_c", None if c.dtype == object else c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bracket is immutable")
@@ -143,13 +145,18 @@ class Bracket:
 
     def as_float(self):
         """Structure constants as a writable float64 array (a copy)."""
-        return np.array(self.c, dtype=float)
+        return self.float_c.copy()
 
     @property
     def float_c(self):
-        """Structure constants as float64 for reading: c itself on a float
-        bracket (no copy), a float copy on an exact one."""
-        return self.as_float() if self.exact else self.c
+        """Structure constants as a read-only float64 array: c itself on a
+        float bracket; on an exact one a float copy, converted at the
+        first read and returned by every later one."""
+        if self._float_c is None:
+            fc = np.array(self.c, dtype=float)
+            fc.flags.writeable = False
+            object.__setattr__(self, "_float_c", fc)
+        return self._float_c
 
     def apply(self, x, y):
         """Evaluate mu(x, y) for coordinate vectors x, y."""
@@ -494,17 +501,27 @@ def aloff_wallach_bracket(p, q, a, b, c, d, *, rational_ratio=True):
     space.  Closedness of the isotropy circle requires p / q rational
     (see circle_isotropy5 for the rational_ratio convention).
     """
+    for name, value in zip("pqabcd", (p, q, a, b, c, d)):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"parameter {name} = {_shown(value)} is outside the float "
+                             f"range |x| <= {sys.float_info.max:.4g}") from None
     if not (a > 0 and b > 0 and c > 0 and d > 0):
         raise ValueError("metric parameters a, b, c, d must be positive")
     if p == 0 and q == 0:
         raise ValueError("(p, q) must not both vanish")
+    try:
+        r = float(p * p + p * q + q * q)
+    except OverflowError:
+        # the (1, j, k) entries alone give ||mu||^2 >= 8 (p^2 + p q + q^2)
+        raise ValueError(_TOO_LARGE) from None
     s1 = math.sqrt(3.0 * b * c * d / a)
     s2 = math.sqrt(3.0 * a * c * d / b)
     s3 = math.sqrt(3.0 * a * b * d / c)
     # Projection of mu(p-part, p-part) back onto the two isotropy
     # directions; obtained by expressing the diagonal commutators
     # [e_{2i}, e_{2i+1}] of the matrix model in the (e_0, e_1) basis.
-    r = float(p * p + p * q + q * q)
     entries = [
         (0, 2, 3, -d * (p + 2 * q)), (0, 3, 2, d * (p + 2 * q)),
         (0, 4, 5, -d * (2 * p + q)), (0, 5, 4, d * (2 * p + q)),
@@ -550,8 +567,15 @@ def family_member(name, params, irrational=False):
     try:
         return ctor(*params, **({"rational_ratio": False} if irrational else {}))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot build {name} from ({', '.join(map(str, params))}): "
+        raise ValueError(f"cannot build {name} from ({', '.join(map(_shown, params))}): "
                          f"{exc}") from None
+
+
+def _shown(value):
+    """str(value), cut beyond 20 characters to its first and last four and
+    its length, so that an error line quoting it stays short."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:4]}...{text[-4:]} ({len(text)} characters)"
 
 
 # ---------------------------------------------------------------------------
@@ -741,26 +765,44 @@ def bracket_from_dict(data):
 
 
 def common_denominator(values):
-    """Least common multiple of the denominators of exact values (1 for none)."""
-    return math.lcm(*(Fraction(v).denominator for v in np.ravel(values)))
+    """Least common multiple of the denominators of ints and Fractions (1 for none)."""
+    return math.lcm(*{v.denominator for v in np.ravel(values)})
 
 
-_to_int = np.frompyfunc(int, 1, 1)
-_fraction = np.frompyfunc(Fraction, 2, 1)
+# v * s for an int or Fraction v and an int s that v's denominator divides
+_scaled = np.frompyfunc(lambda v, s: v.numerator * (s // v.denominator), 2, 1)
+_ZERO = Fraction(0)
 
 
 def to_integers(values, scale):
     """values * scale as Python ints in an object array.
 
-    scale is an int, or ints broadcasting against values, that makes
-    every product integral; the exact engines run on these integers.
+    values are ints or Fractions; scale is an int, or ints broadcasting
+    against values, that makes every product integral.  The exact
+    engines run on these integers.
     """
-    return _to_int(values * scale)
+    return _scaled(values, scale)
 
 
 def from_integers(ints, scale):
-    """Fractions ints / scale in an object array, the inverse of to_integers."""
-    return _fraction(ints, scale)
+    """Fractions ints / scale in an object array, the inverse of to_integers.
+
+    scale is an int, or ints broadcasting against ints.  Fractions are
+    immutable, so each distinct (int, scale) pair is made into one
+    Fraction and every entry holding it shares that object: most entries
+    of a jet or a curvature tensor are 0 or repeat another.
+    """
+    made = {}
+
+    def fraction(a, b):
+        if not a:
+            return _ZERO
+        f = made.get((a, b))
+        if f is None:
+            f = made[a, b] = Fraction(a, b)
+        return f
+
+    return np.frompyfunc(fraction, 2, 1)(ints, scale)
 
 
 def write_bracket(path, mu):

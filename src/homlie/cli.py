@@ -88,10 +88,31 @@ def cmd_check(args):
     return 0
 
 
+def _finite(name, value):
+    """value as a float once it is finite, else a ValueError naming the
+    quantity.  Inside MAX_NORM_SQ, Riem and Ric (degree 2 in mu) stay in
+    the float range, but f_k has degree 2k and |nabla^k Riem|^2 degree
+    2k + 4."""
+    try:
+        value = float(value)
+    except OverflowError:       # a Fraction beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is outside the float range |x| <= {sys.float_info.max:.4g}")
+    return value
+
+
+def _finite_invariants(values):
+    for k, f in enumerate(values, 1):
+        _finite(f"scalar invariant f_{k} = tr(Ric^{k})", f)
+
+
 def cmd_curvature(args):
     mu = br.read_bracket(args.bracket)
     br.require_member(mu)
-    data = cu.curvature_data(mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = cu.curvature_data(mu)
+    _finite_invariants(data.invariants)
     print("ricci endomorphism:")
     for row in data.ricci:
         print("  " + " ".join(map(_fmt, row)))
@@ -104,10 +125,16 @@ def cmd_curvature(args):
 
 def cmd_invariants(args):
     mu = br.read_bracket(args.bracket)
-    fp = cu.fingerprint(mu, args.order)
-    print("scalar invariants f_k: " + " ".join(map(_fmt, cu.scalar_invariants(mu))))
-    for k, t in enumerate(fp.tensors):
-        print(f"|nabla^{k} Riem|^2 : {float(np.sum(t * t))!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = cu.fingerprint(mu, args.order)
+        invariants = cu.scalar_invariants(mu)
+        norms_sq = [np.sum(t * t) for t in fp.tensors]
+    _finite_invariants(invariants)
+    # a finite sum of squares also bounds every entry the JSON output writes
+    norms_sq = [_finite(f"|nabla^{k} Riem|^2", v) for k, v in enumerate(norms_sq)]
+    print("scalar invariants f_k: " + " ".join(map(_fmt, invariants)))
+    for k, norm_sq in enumerate(norms_sq):
+        print(f"|nabla^{k} Riem|^2 : {norm_sq!r}")
     if args.output:
         _write_json(args.output, fp.to_dict())
     return 0
@@ -207,7 +234,7 @@ def _parse_params(text):
         try:
             out.append((Fraction if "/" in tok else int)(tok) if exact else float(tok))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad parameter {tok!r} in {text!r}") from None
+            raise ValueError(f"bad parameter {br._shown(tok)!r} in {br._shown(text)!r}") from None
     return out
 
 

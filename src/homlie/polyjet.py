@@ -11,7 +11,10 @@ grade by grade.  A code that is increasing in graded-lex order and
 additive on exponents turns monomial products and quotients into
 searchsorted lookups: the product table, and lower, the position of
 alpha - e_k (-1 where alpha_k = 0) that diff and the recursion of
-coordinates.metric_jet run on.
+coordinates.metric_jet run on.  The tables of one (nvars, degree) are
+built once and shared read-only by every PolySpace of that truncation,
+from a cache of the TABLE_CACHE_SIZE most recently used ones; a
+PolySpace itself is cheap to construct.
 
 Leading axes are free, so a matrix of polynomials is simply an array of
 shape (n, n, size).  The one product, mul, is an einsum contraction over
@@ -30,51 +33,74 @@ coefficients that agree with the untruncated product in every degree
 <= the truncation degree, because total degree is additive.
 """
 
+import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 __all__ = ["PolySpace"]
 
 
+# Tables of this many most recently used truncations are kept, so that a
+# PolySpace of a truncation met before builds none.  metric_jet admits
+# tables of at most 3 * MAX_JET_ENTRIES / nvars^2 ints (about 11 MB at
+# nvars = 3); the jets of a degree sweep at one n fit.
+TABLE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _tables(nvars, degree):
+    """The read-only tables of one (nvars, degree), by attribute name."""
+    base = degree + 1
+    # code(alpha) = |alpha| base^nvars + the base-(degree+1) digits of
+    # alpha: increasing in graded-lex order, and additive while every
+    # digit stays <= degree, so searchsorted finds products and quotients
+    weights = base ** nvars + base ** np.arange(nvars - 1, -1, -1)
+    # grade d + 1 is grade d times each variable, sorted by code
+    grades = [np.zeros((1, nvars), dtype=int)]
+    for _ in range(degree):
+        up = (grades[-1][:, None, :] + np.eye(nvars, dtype=int)).reshape(-1, nvars)
+        _, first = np.unique(up @ weights, return_index=True)
+        grades.append(up[first])
+    exponents = np.concatenate(grades)
+    size = len(exponents)
+    degrees = exponents.sum(axis=1)
+    code = exponents @ weights
+
+    # multiplication table: the partners of monomial a are the prefix
+    # of the graded order with degree <= degree - deg_a
+    count = np.searchsorted(degrees, degree - degrees, side="right")
+    mul_i1 = np.repeat(np.arange(size), count)
+    mul_i2 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    mul_it = np.searchsorted(code, code[mul_i1] + code[mul_i2])
+
+    # lower[a, k]: position of alpha - e_k, or -1 where alpha_k = 0
+    lower = np.where(exponents > 0, np.searchsorted(code, code[:, None] - weights), -1)
+
+    monomials = tuple(map(tuple, exponents.tolist()))
+    tables = {"size": size, "degrees": degrees, "monomials": monomials,
+              "index": MappingProxyType({alpha: i for i, alpha in enumerate(monomials)}),
+              "lower": lower, "_exponents": exponents,
+              "_mul_i1": mul_i1, "_mul_i2": mul_i2, "_mul_it": mul_it}
+    for value in tables.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return MappingProxyType(tables)
+
+
 class PolySpace:
-    """Shared tables for one (nvars, degree) truncation."""
+    """Tables for one (nvars, degree) truncation, shared read-only with
+    every other PolySpace of the same truncation."""
 
     def __init__(self, nvars, degree):
         if nvars < 1 or degree < 0:
             raise ValueError("need nvars >= 1 and degree >= 0")
-        base = degree + 1
-        if base ** (nvars + 1) > np.iinfo(np.int64).max:
+        if (degree + 1) ** (nvars + 1) > np.iinfo(np.int64).max:
             raise ValueError(f"{nvars} variables at degree {degree} overflow the monomial codes")
         self.nvars = nvars
         self.degree = degree
-        # code(alpha) = |alpha| base^nvars + the base-(degree+1) digits of
-        # alpha: increasing in graded-lex order, and additive while every
-        # digit stays <= degree, so searchsorted finds products and quotients
-        weights = base ** nvars + base ** np.arange(nvars - 1, -1, -1)
-        # grade d + 1 is grade d times each variable, sorted by code
-        grades = [np.zeros((1, nvars), dtype=int)]
-        for _ in range(degree):
-            up = (grades[-1][:, None, :] + np.eye(nvars, dtype=int)).reshape(-1, nvars)
-            _, first = np.unique(up @ weights, return_index=True)
-            grades.append(up[first])
-        self._exponents = np.concatenate(grades)
-        self.size = len(self._exponents)
-        self.degrees = self._exponents.sum(axis=1)
-        self.monomials = list(map(tuple, self._exponents.tolist()))
-        self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
-        code = self._exponents @ weights
-
-        # multiplication table: the partners of monomial a are the prefix
-        # of the graded order with degree <= degree - deg_a
-        count = np.searchsorted(self.degrees, degree - self.degrees, side="right")
-        self._mul_i1 = np.repeat(np.arange(self.size), count)
-        self._mul_i2 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        self._mul_it = np.searchsorted(code, code[self._mul_i1] + code[self._mul_i2])
-
-        # lower[a, k]: position of alpha - e_k, or -1 where alpha_k = 0
-        self.lower = np.where(self._exponents > 0,
-                              np.searchsorted(code, code[:, None] - weights), -1)
+        vars(self).update(_tables(nvars, degree))
 
     # -- constructors -------------------------------------------------
 

@@ -36,6 +36,58 @@ def test_from_entries_exact_dtype():
     assert br.milnor_bracket(1.0, 2, 3).exact is False
 
 
+def test_float_c_of_exact_bracket_is_one_read_only_copy():
+    mu = br.circle_isotropy3(Fraction(1, 3), Fraction(-5, 7), 2, 1)
+    fc = mu.float_c
+    assert fc.dtype == float and not fc.flags.writeable
+    assert np.array_equal(fc, np.array(mu.c, float))
+    assert mu.float_c is fc
+    with pytest.raises(ValueError):
+        fc[0, 1, 2] = 5.0
+    copy = mu.as_float()
+    assert copy.flags.writeable and np.array_equal(copy, fc) and copy is not fc
+    float_mu = br.milnor_bracket(1.0, 2.0, 3.0)
+    assert float_mu.float_c is float_mu.c
+
+
+# ints and Fractions, negative, zero and beyond 2^63
+_exact = st.one_of(st.integers(-2**80, 2**80), st.sampled_from([0, -1, 2**63, -2**64]),
+                   st.fractions(max_denominator=2**70).filter(lambda f: abs(f) < 2**90))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_exact, min_size=3, max_size=3), min_size=1, max_size=4),
+       st.integers(1, 2**70), st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_exact_conversions_equal_fraction_arithmetic(rows, factor, powers):
+    values = np.empty((len(rows), 3), dtype=object)
+    values[...] = rows
+    lcm = math.lcm(*(Fraction(v).denominator for v in values.flat))
+    assert br.common_denominator(values) == lcm
+    # a scalar scale, and one scale per column broadcast over the rows
+    for scale in (lcm * factor, np.array([lcm * factor ** k for k in powers], dtype=object)):
+        want = np.array([[int(Fraction(v) * s) for v, s in zip(row, np.broadcast_to(scale, 3))]
+                         for row in rows], dtype=object)
+        ints = br.to_integers(values, scale)
+        assert ints.dtype == object and ints.shape == values.shape
+        assert all(type(v) is int for v in ints.flat)
+        assert np.array_equal(ints, want)
+        back = br.from_integers(ints, scale)
+        assert back.dtype == object and back.shape == values.shape
+        assert all(type(v) is Fraction for v in back.flat)
+        assert all(v == Fraction(v0) for v, v0 in zip(back.flat, values.flat))
+        assert all(b == Fraction(i, s) for b, i, s in
+                   zip(back.flat, ints.flat, np.broadcast_to(scale, values.shape).flat))
+
+
+def test_from_integers_makes_each_distinct_fraction_once():
+    ints = np.array([[0, 3, 0], [3, 0, 6]], dtype=object)
+    out = br.from_integers(ints, 6)
+    assert out.tolist() == [[0, Fraction(1, 2), 0], [Fraction(1, 2), 0, 1]]
+    assert out[0, 0] is out[0, 2] is out[1, 1]
+    assert out[0, 1] is out[1, 0]
+    assert br.common_denominator(np.array([], dtype=object)) == 1
+
+
 def test_norm_milnor_closed_form():
     a, b, c = 1.3, -0.4, 2.1
     mu = br.milnor_bracket(a, b, c)

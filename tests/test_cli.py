@@ -497,7 +497,15 @@ _LONG_FRACTION = "1/1" + "0" * 1500
     (["family", "milnor", "--params", f"{_HUGE_INT},1,1"], "entries too large"),
     (["family", "milnor", "--params", f"{_HUGE_INT},1,1.0"], "entries too large"),
     (["family", "aloff_wallach", "--params", f"{_HUGE_INT},1,1,1,1,1"],
-     "int too large to convert to float"),
+     "cannot build aloff_wallach from (1000...0000 (401 characters), 1, 1, 1, 1, 1): "
+     "parameter p = 1000...0000 (401 characters) is outside the float range"),
+    (["family", "aloff_wallach", "--params", f"1,2,1,{_HUGE_INT},1,1"],
+     "parameter b = 1000...0000 (401 characters) is outside the float range"),
+    (["family", "aloff_wallach", "--params", f"1{'0' * 200},1,1,1,1,1"], "entries too large"),
+    (["family", "milnor", "--params", f"1/0,{_HUGE_INT}"],
+     "bad parameter '1/0' in '1/0,...0000 (405 characters)'"),
+    (["family", "circle5", "--params", ",".join([_HUGE_INT] * 9)],
+     "from (" + ", ".join(["1000...0000 (401 characters)"] * 9) + "): circle_isotropy5()"),
     (["family", "milnor", "--params", "1e200,1,1"], "entries too large"),
     (["sequence", "milnor", "--params-list", "1e200,1,1", "--limit", "H3"], "entries too large"),
     (["family", "circle5", "--params", "1,2,1,2,1,-1,1,-1,0"],
@@ -512,6 +520,8 @@ _LONG_FRACTION = "1/1" + "0" * 1500
         "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
         "resume_oversized", "resume_field_above_csv_limit", "family_huge_integer",
         "family_huge_integer_float_bracket", "aloff_wallach_huge_integer",
+        "aloff_wallach_huge_metric", "aloff_wallach_overflowing_pair",
+        "long_parameter_list", "circle5_huge_extra_params",
         "family_overflowing_norm", "sequence_overflowing_norm",
         "circle5_extra_param", "aloff_wallach_extra_param", "family_output_overflowing_norm",
         "family_output_long_denominator", "sequence_without_params"])
@@ -534,6 +544,41 @@ def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_p
     lines = err.splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert not (tmp_path / "out.json").exists()
+
+
+# curvature of degree 2k + 2 in mu leaves the float range inside MAX_NORM_SQ
+@pytest.mark.parametrize("command, mu, quantity", [
+    ("curvature", br.milnor_bracket(1e140, 1e140, 1e140), "scalar invariant f_2 = tr(Ric^2)"),
+    ("invariants", br.milnor_bracket(1e140, 1e140, 1e140), "scalar invariant f_2 = tr(Ric^2)"),
+    ("curvature", br.milnor_bracket(1e75, 1e75, 1e75), "scalar invariant f_3 = tr(Ric^3)"),
+    ("invariants", br.milnor_bracket(1e45, 2e45, 3e45), "|nabla^2 Riem|^2"),
+    ("invariants", br.milnor_bracket(10**45, 2 * 10**45, 3 * 10**45), "|nabla^2 Riem|^2"),
+    ("invariants", br.milnor_bracket(10**80, 10**80, 10**80),
+     "scalar invariant f_2 = tr(Ric^2)"),
+], ids=["curvature_f2", "invariants_f2", "curvature_f3", "invariants_norm",
+        "invariants_exact_norm", "invariants_exact_f2"])
+def test_curvature_beyond_the_float_range_exits_1(tmp_path, capsys, command, mu, quantity):
+    path, out = tmp_path / "mu.json", tmp_path / "out.json"
+    br.write_bracket(path, mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {quantity} is outside the float range |x| <= 1.798e+308\n"
+
+
+@pytest.mark.parametrize("command", ["curvature", "invariants"])
+def test_curvature_just_inside_the_float_range_is_printed(tmp_path, capsys, command):
+    # f_k of su(2) at scale s is 3 (s^2 / 2)^k: at s = 2^150, f_3 = 3 * 2^897 ~ 3.2e270
+    path = tmp_path / "mu.json"
+    s = 2.0 ** 150
+    br.write_bracket(path, br.milnor_bracket(s, s, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 0
+    want = [3 * (s * s / 2) ** k for k in (1, 2, 3)]
+    assert f"scalar invariants f_k: {' '.join(map(repr, want))}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("family, params", [("torus", "1,1,1"), ("milnor", "1,1")])
@@ -689,7 +734,8 @@ _TEXT = string.printable + "\x00é∞−"
 _numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-10**400, 10**400),
-    st.sampled_from([1e200, 1e160, -0.0, "1/2", "1/0", "1e999999999", "x", None, [], True]))
+    st.sampled_from([1e200, 1e160, -0.0, "1/2", "1/0", "1e999999999", "x", None, [], True,
+                     10**400, -10**200]))
 # mostly near a valid su(2) bracket, so that many cases reach the flow
 _values = st.one_of(st.floats(-3, 3), _numbers)
 # q and n: integers, integral and non-integral floats, and non-numbers
@@ -720,7 +766,8 @@ _documents = st.one_of(
 def test_fuzzed_bracket_files_exit_cleanly(tmp_path, capsys, doc):
     path = tmp_path / "mu.json"
     path.write_text(doc)
-    for argv in (["check", str(path)], ["flow", str(path), *_FLOW]):
+    for argv in (["check", str(path)], ["flow", str(path), *_FLOW], ["curvature", str(path)],
+                 ["invariants", str(path), "--order", "0"]):
         code = main(argv)
         _assert_clean_exit(code, capsys.readouterr().err)
 
@@ -768,6 +815,7 @@ _family_names = st.sampled_from(["milnor", "circle3", "circle5", "aloff_wallach"
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=_family_names, params=st.lists(_param_text, min_size=1, max_size=3),
        irrational=st.booleans())
+@example(name="aloff_wallach", params=[f"{_HUGE_INT},1,1,1,1,1"], irrational=False)
 def test_fuzzed_family_parameters_exit_cleanly(capsys, h3_file, name, params, irrational):
     code = main(["family", name, f"--params={params[0]}"] + ["--irrational"] * irrational)
     _assert_clean_exit(code, capsys.readouterr().err)
@@ -782,7 +830,7 @@ _member_values = st.one_of(
     st.integers(-3, 3).map(str), st.floats(-3, 3).map(repr),
     st.fractions(max_denominator=10).map(str),
     st.floats(1e140, 1e160).map(repr), st.integers(10**140, 10**160).map(str),
-    st.sampled_from(["1/" + "3" * 998, "-1/" + "3" * 998, "1/" + "3" * 999]))
+    st.sampled_from(["1/" + "3" * 998, "-1/" + "3" * 998, "1/" + "3" * 999, _HUGE_INT]))
 _members = st.sampled_from(sorted(_ARITY)).flatmap(lambda name: st.tuples(
     st.just(name), st.lists(_member_values, min_size=_ARITY[name], max_size=_ARITY[name])))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homlie import polyjet
 from homlie.polyjet import PolySpace
 
 # subscripts over the leading axes, and the leading shapes of the factors
@@ -36,7 +37,7 @@ def _tuple_tables(nvars, degree):
 def test_tables_equal_tuple_arithmetic(nvars, degree):
     space = PolySpace(nvars, degree)
     monomials, index, mul, lower = _tuple_tables(nvars, degree)
-    assert space.monomials == monomials and space.index == index
+    assert space.monomials == tuple(monomials) and space.index == index
     assert space.size == len(monomials)
     assert space.degrees.tolist() == [sum(alpha) for alpha in monomials]
     assert list(zip(space._mul_i1.tolist(), space._mul_i2.tolist(),
@@ -71,6 +72,30 @@ def test_monomial_values_keep_type(point, dtype, kind):
         for x, a in zip(point, alpha):
             want = want * x ** a
         assert v == want
+
+
+_TABLES = ("size", "degrees", "monomials", "index", "lower",
+           "_exponents", "_mul_i1", "_mul_i2", "_mul_it")
+
+
+@pytest.mark.parametrize("nvars, degree", [(1, 0), (3, 5), (7, 3)])
+def test_spaces_of_one_truncation_share_read_only_tables(nvars, degree):
+    first, second = PolySpace(nvars, degree), PolySpace(nvars, degree)
+    assert first is not second
+    fresh = polyjet._tables.__wrapped__(nvars, degree)
+    for name in _TABLES:
+        shared = getattr(first, name)
+        assert getattr(second, name) is shared
+        if isinstance(shared, np.ndarray):
+            assert not shared.flags.writeable
+            assert np.array_equal(shared, fresh[name]) and shared.dtype == fresh[name].dtype
+        else:
+            assert shared == fresh[name]
+    with pytest.raises(ValueError):
+        first.lower[0, 0] = 7
+    with pytest.raises(TypeError):
+        first.index[(0,) * nvars] = 7
+    assert isinstance(first.monomials, tuple)
 
 
 def test_codes_that_would_overflow_are_refused():
