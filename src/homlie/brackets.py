@@ -66,11 +66,24 @@ _EXACT_TYPES = (int, Fraction)
 # here (Aloff-Wallach) has q + n = 8.
 MAX_DIM = 32
 
-# Largest ||mu||^2 a bracket built from entries may carry.  The Jacobi
-# residual is at most 3 ||mu||^2 and the curvature a small multiple of
-# it, so this leaves a factor of 1e8 before any of them overflows a float.
+# Largest ||mu||^2 a bracket built from entries may carry.  The Jacobi residual, Riem and
+# Ric have degree 2 in mu and stay in the float range; f_k = tr(Ric^k), |nabla^k Riem|^2 and
+# jet coefficients of degree d (degree 2k, 2k + 4, d) need not, and finite_float refuses them.
 MAX_NORM_SQ = 1e300
 _TOO_LARGE = f"entries too large: ||mu||^2 exceeds {MAX_NORM_SQ:g}"
+
+
+def finite_float(name, value):
+    """value as a float, or a ValueError naming the quantity when it is
+    outside the float range: infinite, NaN, or an int or Fraction too
+    large to convert."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is outside the float range |x| <= {sys.float_info.max:.4g}")
+    return value
 
 
 def _is_exact(values):
@@ -502,11 +515,7 @@ def aloff_wallach_bracket(p, q, a, b, c, d, *, rational_ratio=True):
     (see circle_isotropy5 for the rational_ratio convention).
     """
     for name, value in zip("pqabcd", (p, q, a, b, c, d)):
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"parameter {name} = {_shown(value)} is outside the float "
-                             f"range |x| <= {sys.float_info.max:.4g}") from None
+        finite_float(f"parameter {name} = {_shown(value)}", value)
     if not (a > 0 and b > 0 and c > 0 and d > 0):
         raise ValueError("metric parameters a, b, c, d must be positive")
     if p == 0 and q == 0:
@@ -536,6 +545,8 @@ def aloff_wallach_bracket(p, q, a, b, c, d, *, rational_ratio=True):
         (4, 5, 0, -3 * b * (2 * p + q) / r), (4, 5, 1, 9 * b * d * q / r),
         (6, 7, 0, -3 * c * (p - q) / r), (6, 7, 1, 9 * c * d * (p + q) / r),
     ]
+    if not all(math.isfinite(v) for *_, v in entries if isinstance(v, float)):
+        raise ValueError(_TOO_LARGE)        # the parameters are finite: a product overflowed
     return Bracket.from_entries(1, 7, entries, family="aloff_wallach",
                                 params={"p": p, "q": q, "a": a, "b": b, "c": c,
                                         "d": d,
@@ -622,7 +633,7 @@ def _random_member_q0(n, rng):
     return gl_action(h, mu)
 
 
-def random_member(q, n, rng=None, seed=0):
+def random_member(q, n, seed=0):
     """Draw a random bracket passing the membership check.
 
     Brackets satisfying the Jacobi identity form a measure-zero variety,
@@ -631,10 +642,9 @@ def random_member(q, n, rng=None, seed=0):
     Jacobi identically (almost abelian, diagonal 3-dimensional, random
     isotropy families for q = 1) and then moved around by a random
     change of basis, which preserves membership.  Supported: q = 0 with
-    n >= 2, and q = 1 with n = 3.
+    n >= 2, and q = 1 with n = 3.  seed, an int or a Generator, goes to default_rng.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if q == 0:
         if n < 2:
             raise ValueError("need n >= 2")

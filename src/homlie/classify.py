@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .brackets import check_membership, family_member
+from .brackets import check_membership, family_member, finite_float
 from .coordinates import injectivity_bound
 from .curvature import fingerprint, scalar_invariants
 
@@ -74,16 +74,13 @@ def isometry_test(mu, lam, order=2):
     isometry forces equality.  Returns "distinct" when some scalar
     differs by more than 1e-8 (1 + magnitude), otherwise the string
     "indistinguishable_at_order_<order>".  Isotropy dimensions may
-    differ; the tangent dimensions must agree.
+    differ; the tangent dimensions must agree.  Raises ValueError naming
+    a scalar outside the float range, which no comparison can decide.
     """
     if mu.n != lam.n:
         return "distinct"
-    sa = scalar_invariants(mu)
-    sb = scalar_invariants(lam)
-    fa = fingerprint(mu, order)
-    fb = fingerprint(lam, order)
-    sa += [float(np.sum(t * t)) for t in fa.tensors]
-    sb += [float(np.sum(t * t)) for t in fb.tensors]
+    sa = scalar_invariants(mu) + fingerprint(mu, order).norms_sq()
+    sb = scalar_invariants(lam) + fingerprint(lam, order).norms_sq()
     for a, b in zip(sa, sb):
         if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
             return "distinct"
@@ -334,7 +331,7 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
     and topology flags against limit_pair when integer pairs are
     supplied.  Returns a list of plain dicts, one per member.  Raises
     ValueError for an empty sequence and for a family or parameter tuple
-    that family_member refuses.
+    that family_member refuses, or for an f_k or gap beyond the float range.
     """
     if not params_seq:
         raise ValueError("no parameter tuples to tabulate")
@@ -360,7 +357,7 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
             row[f"f{j}"] = v
         if f_limit is not None:
             for j, (a, b) in enumerate(zip(fs, f_limit), start=1):
-                row[f"gap{j}"] = abs(a - b)
+                row[f"gap{j}"] = finite_float(f"gap{j} = |f_{j} - f_{j}(limit)|", abs(a - b))
         bound = injectivity_bound(mu)
         row["inj_lower"] = bound.lower
         row["inj_heuristic"] = bound.heuristic

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .brackets import (bracket_norm, common_denominator, from_integers,
+from .brackets import (bracket_norm, common_denominator, finite_float, from_integers,
                        require_member, to_integers)
 from .polyjet import PolySpace
 
@@ -96,7 +96,8 @@ def metric_jet(mu, degree):
     """Taylor coefficients of the coordinate metric up to a total degree.
 
     Exact brackets give Fraction coefficients, float brackets float64.
-    Raises ValueError on a non-member or above MAX_JET_ENTRIES.
+    Raises ValueError on a non-member, above MAX_JET_ENTRIES, or naming the
+    lowest degree of a float jet with a coefficient beyond the float range.
     Only the splitting and the structure constants enter; the purely
     isotropy-isotropy part of the bracket does not affect the result.
 
@@ -136,14 +137,19 @@ def metric_jet(mu, degree):
     # letter multiset alpha.  B_alpha = (-1)^m / (m+1)! W_alpha.
     w = np.zeros((space.size, dim, dim), dtype=c.dtype)
     w[0] = np.eye(dim, dtype=c.dtype)
-    for m in range(1, degree + 1):
-        src, k = np.nonzero((space.lower >= 0) & (space.degrees == m)[:, None])
-        np.add.at(w, src, w[space.lower[src, k]] @ ads[k])
-    b = w * scale[space.degrees, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, degree + 1):
+            src, k = np.nonzero((space.lower >= 0) & (space.degrees == m)[:, None])
+            np.add.at(w, src, w[space.lower[src, k]] @ ads[k])
+        b = w * scale[space.degrees, None, None]
 
-    # tangent block of B and the convolution g = P^T P
-    p = np.moveaxis(b[:, q:, q:], 0, -1)
-    g = space.mul("ki,kj->ij", p, p)
+        # tangent block of B and the convolution g = P^T P
+        p = np.moveaxis(b[:, q:, q:], 0, -1)
+        g = space.mul("ki,kj->ij", p, p)
+        if not exact and not np.isfinite(g).all():
+            top = np.abs(g).max(axis=(0, 1))            # per monomial; NaN stays NaN
+            for d in range(degree + 1):
+                finite_float(f"metric jet coefficient of degree {d}", top[space.degrees == d].max())
     if exact:
         g = from_integers(g, (lcm * f) ** space.degrees.astype(object))
     return MetricJet(q, n, degree, space, g)

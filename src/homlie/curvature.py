@@ -75,7 +75,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .brackets import common_denominator, from_integers, require_member, to_integers
+from .brackets import common_denominator, finite_float, from_integers, require_member, to_integers
 
 __all__ = [
     "riemann_origin",
@@ -131,12 +131,13 @@ def _ricci(riem):
 
 
 def _power_traces(ric, count):
-    """tr(Ric^k) for k = 1..count."""
+    """f_k = tr(Ric^k), k = 1..count, as floats; refused by name beyond the float range."""
     out = []
     power = np.eye(ric.shape[0])
-    for _ in range(count):
-        power = power @ ric
-        out.append(float(np.trace(power)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count + 1):
+            power = power @ ric
+            out.append(finite_float(f"scalar invariant f_{k} = tr(Ric^{k})", np.trace(power)))
     return out
 
 
@@ -157,7 +158,7 @@ def ricci_operator(mu):
 
 
 def scalar_invariants(mu, count=None):
-    """Power traces f_k = tr(Ric^k), k = 1..count (default n)."""
+    """f_k = tr(Ric^k), k = 1..count (default n); a ValueError names one beyond the float range."""
     return _power_traces(ricci_operator(mu), mu.n if count is None else count)
 
 
@@ -207,8 +208,15 @@ class Fingerprint:
         self.order = order
         self.tensors = tensors
 
+    def norms_sq(self):
+        """|nabla^k Riem|^2, k = 0..order, as floats; a ValueError names the first
+        beyond the float range.  A finite sum of squares bounds every entry too."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [finite_float(f"|nabla^{k} Riem|^2", np.sum(t * t))
+                    for k, t in enumerate(self.tensors)]
+
     def norm(self):
-        return math.sqrt(sum(float(np.sum(t * t)) for t in self.tensors))
+        return math.sqrt(sum(self.norms_sq()))
 
     def flat_vector(self):
         return np.concatenate([t.ravel() for t in self.tensors])
@@ -261,10 +269,11 @@ def fingerprint(mu, order=2):
     if mu.exact:
         scale = 2 * common_denominator(c)
         c = to_integers(c, scale)
-    riem, d = _riemann(c, mu.q)
-    tensors = [riem]
-    for _ in range(order):
-        tensors.append(_derive(d, tensors[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem, d = _riemann(c, mu.q)
+        tensors = [riem]
+        for _ in range(order):
+            tensors.append(_derive(d, tensors[-1]))
     if mu.exact:
         tensors = [from_integers(t, scale ** (2 + k)) for k, t in enumerate(tensors)]
     return Fingerprint(mu.n, order, tensors)
@@ -445,7 +454,7 @@ def invariant_distance(mu, lam, order=1):
     the polish brings them to rounding level.  In general, and always
     on distinct spaces, the result is only an upper bound for the true
     orbit distance, never above || w_mu - w_lam ||.
-    Identical arguments give identical output.
+    Identical arguments give identical output.  Squares beyond the float range raise ValueError.
     """
     if mu.n != lam.n:
         raise ValueError(f"tangent dimensions differ (n = {mu.n} and n = {lam.n})")
@@ -453,8 +462,13 @@ def invariant_distance(mu, lam, order=1):
     if n > MAX_ORBIT_DIM:
         raise ValueError(f"orbit distance needs n <= MAX_ORBIT_DIM = {MAX_ORBIT_DIM} "
                          f"(2^n sign candidates), got n = {n}")
-    wa = [np.asarray(t, float) for t in fingerprint(mu, order).tensors]
-    wb = [np.asarray(t, float) for t in fingerprint(lam, order).tensors]
+    fa, fb = fingerprint(mu, order), fingerprint(lam, order)
+    # before _invariant_frame: its forms, the sign scores and the Hessian of
+    # _strict_local_minimum are sums of squares bounded by this multiple
+    sq = sum(fa.norms_sq() + fb.norms_sq())
+    finite_float("8 (order + 4)^2 (|w_mu|^2 + |w_lam|^2)", 8 * (order + 4) ** 2 * sq)
+    wa = [np.asarray(t, float) for t in fa.tensors]
+    wb = [np.asarray(t, float) for t in fb.tensors]
 
     def misfit(h):
         return np.concatenate([(rotate_tensor(h, ta) - tb).ravel()
@@ -475,8 +489,7 @@ def invariant_distance(mu, lam, order=1):
     values = np.concatenate([[identity], np.sqrt(scores)])
     best = int(np.argmin(values))
     h0 = np.eye(n) if best == 0 else ub @ (signs[best - 1][:, None] * ua.T)
-    scale = math.sqrt(sum(float(np.sum(t * t)) for t in wa + wb))
-    if (values[best] <= _POLISH_FLOOR * scale
+    if (values[best] <= _POLISH_FLOOR * math.sqrt(sq)
             or _strict_local_minimum([rotate_tensor(h0, t) for t in wa], wb)):
         return float(values[best])
     fit = least_squares(residuals, np.zeros(n * (n - 1) // 2),

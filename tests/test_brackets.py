@@ -266,14 +266,14 @@ def test_random_member_q0_all_dims():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4):
         for _ in range(10):
-            mu = br.random_member(0, n, rng=rng)
+            mu = br.random_member(0, n, seed=rng)
             assert br.check_membership(mu).passed
 
 
 def test_random_member_q1():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        mu = br.random_member(1, 3, rng=rng)
+        mu = br.random_member(1, 3, seed=rng)
         assert (mu.q, mu.n) == (1, 3)
         assert br.check_membership(mu).passed
 

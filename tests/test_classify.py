@@ -83,6 +83,15 @@ def test_distinct_geometries_are_separated():
                             br.random_member(0, 4, seed=0)) == "distinct"
 
 
+@pytest.mark.parametrize("mu", [br.milnor_bracket(1e140, 1e140, 1e140),
+                                br.milnor_bracket(10**80, 10**80, 10**80),
+                                br.milnor_bracket(1e45, 2e45, 3e45)])
+def test_isometry_test_refuses_invariants_beyond_the_float_range(mu):
+    # inf and NaN compare equal to nothing, so no verdict could follow
+    with pytest.raises(ValueError, match="is outside the float range"):
+        cl.isometry_test(mu, mu)
+
+
 def test_cross_presentation_pair_matches():
     # the same negatively curved space presented once with a circle
     # isotropy and once as a plain group metric

@@ -516,6 +516,7 @@ _LONG_FRACTION = "1/1" + "0" * 1500
     (["family", "milnor", "--params", f"{_LONG_FRACTION},1,1", "--output", "OUT"],
      "MAX_EXACT_DIGITS"),
     (["sequence", "milnor", "--params-list", ";", "--limit", "H3"], "no parameter tuples"),
+    (["family", "aloff_wallach", "--params", "1/3,1,1,1,1,1e308"], "entries too large"),
 ], ids=["zero_denominator", "sequence_zero_denominator", "too_few_params",
         "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
         "resume_oversized", "resume_field_above_csv_limit", "family_huge_integer",
@@ -524,7 +525,8 @@ _LONG_FRACTION = "1/1" + "0" * 1500
         "long_parameter_list", "circle5_huge_extra_params",
         "family_overflowing_norm", "sequence_overflowing_norm",
         "circle5_extra_param", "aloff_wallach_extra_param", "family_output_overflowing_norm",
-        "family_output_long_denominator", "sequence_without_params"])
+        "family_output_long_denominator", "sequence_without_params",
+        "aloff_wallach_overflowing_metric"])
 def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_path, capsys):
     (tmp_path / "no_n.csv").write_text("# q=0 x=3\nt,norm\n0.0,1.0\n")
     # q + n above brackets.MAX_DIM is refused before anything is allocated
@@ -546,26 +548,58 @@ def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_p
     assert not (tmp_path / "out.json").exists()
 
 
-# curvature of degree 2k + 2 in mu leaves the float range inside MAX_NORM_SQ
-@pytest.mark.parametrize("command, mu, quantity", [
-    ("curvature", br.milnor_bracket(1e140, 1e140, 1e140), "scalar invariant f_2 = tr(Ric^2)"),
-    ("invariants", br.milnor_bracket(1e140, 1e140, 1e140), "scalar invariant f_2 = tr(Ric^2)"),
-    ("curvature", br.milnor_bracket(1e75, 1e75, 1e75), "scalar invariant f_3 = tr(Ric^3)"),
-    ("invariants", br.milnor_bracket(1e45, 2e45, 3e45), "|nabla^2 Riem|^2"),
-    ("invariants", br.milnor_bracket(10**45, 2 * 10**45, 3 * 10**45), "|nabla^2 Riem|^2"),
-    ("invariants", br.milnor_bracket(10**80, 10**80, 10**80),
-     "scalar invariant f_2 = tr(Ric^2)"),
+_F140 = br.milnor_bracket(1e140, 1e140, 1e140)
+_E80 = br.milnor_bracket(10**80, 10**80, 10**80)
+_F2 = "scalar invariant f_2 = tr(Ric^2)"
+
+
+# f_k, |nabla^k Riem|^2 and jet coefficients leave the float range inside
+# MAX_NORM_SQ; MU is the bracket file, OUT an output file that must not appear
+@pytest.mark.parametrize("argv, mu, quantity", [
+    (["curvature", "MU", "--output", "OUT"], _F140, _F2),
+    (["invariants", "MU", "--output", "OUT"], _F140, _F2),
+    (["curvature", "MU", "--output", "OUT"], br.milnor_bracket(1e75, 1e75, 1e75),
+     "scalar invariant f_3 = tr(Ric^3)"),
+    (["invariants", "MU", "--output", "OUT"], br.milnor_bracket(1e45, 2e45, 3e45),
+     "|nabla^2 Riem|^2"),
+    (["invariants", "MU", "--output", "OUT"],
+     br.milnor_bracket(10**45, 2 * 10**45, 3 * 10**45), "|nabla^2 Riem|^2"),
+    (["invariants", "MU", "--output", "OUT"], _E80, _F2),
+    (["distance", "MU", "MU"], _F140, "|nabla^0 Riem|^2"),
+    (["distance", "MU", "MU"], _E80, "|nabla^0 Riem|^2"),
+    (["sequence", "milnor", "--params-list", "1e140,2e140,3e140", "--limit", "MU",
+      "--output", "OUT"], br.milnor_bracket(1.0, 0.0, 0.0), _F2),
+    (["sequence", "milnor", "--params-list", ",".join([str(10**80)] * 3), "--limit", "MU",
+      "--output", "OUT"], br.milnor_bracket(1.0, 0.0, 0.0), _F2),
+    # f_3 = 1.2e308 against the limit's -7.5e307: each in range, their gap is not
+    (["sequence", "milnor", "--params-list", "2.6e51,2.6e51,2.6e51", "--limit", "MU",
+      "--output", "OUT"], br.milnor_bracket(-1.5e51, 1.5e51, 1.5e51),
+     "gap3 = |f_3 - f_3(limit)|"),
+    (["jet", "MU", "--degree", "3", "--output", "OUT"], _F140,
+     "metric jet coefficient of degree 3"),
 ], ids=["curvature_f2", "invariants_f2", "curvature_f3", "invariants_norm",
-        "invariants_exact_norm", "invariants_exact_f2"])
-def test_curvature_beyond_the_float_range_exits_1(tmp_path, capsys, command, mu, quantity):
+        "invariants_exact_norm", "invariants_exact_f2", "distance", "distance_exact",
+        "sequence", "sequence_exact", "sequence_gap", "jet"])
+def test_curvature_beyond_the_float_range_exits_1(tmp_path, capsys, argv, mu, quantity):
     path, out = tmp_path / "mu.json", tmp_path / "out.json"
     br.write_bracket(path, mu)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, str(path), "--output", str(out)]) == 1
+        assert main([{"MU": str(path), "OUT": str(out)}.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == f"error: {quantity} is outside the float range |x| <= 1.798e+308\n"
+
+
+def test_exact_jet_beyond_the_float_range_is_written_exactly(tmp_path, capsys):
+    # exact coefficients are written as p/q strings, so the float range does not bound them
+    path, out = tmp_path / "mu.json", tmp_path / "out.json"
+    br.write_bracket(path, _E80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["jet", str(path), "--degree", "4", "--output", str(out)]) == 0
+    values = [Fraction(e[3]) for e in json.loads(out.read_text())["entries"]]
+    assert max(map(abs, values)) > 10**308
 
 
 @pytest.mark.parametrize("command", ["curvature", "invariants"])
@@ -756,18 +790,19 @@ _documents = st.one_of(
     st.dictionaries(st.sampled_from(["q", "n", "entries", "c"]), _numbers, max_size=4))
 
 
-# fuzzed constants reach 1e308, so numpy overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=st.one_of(_documents.map(json.dumps), st.text(_TEXT, max_size=40)))
 # ||mu||^2 = 2e280: the flow residual's ||mu||^3 leaves the float range
 @example(doc='{"q": 0, "n": 3, "entries": [[1, 2, 0, 0.0], [0, 2, 1, 0.0], [0, 1, 2, 1e140]]}')
+# su(2) at 1e140: f_2 and |Riem|^2 leave the float range
+@example(doc='{"q": 0, "n": 3, "entries": [[1, 2, 0, 1e140], [0, 2, 1, -1e140], [0, 1, 2, 1e140]]}')
 def test_fuzzed_bracket_files_exit_cleanly(tmp_path, capsys, doc):
     path = tmp_path / "mu.json"
     path.write_text(doc)
     for argv in (["check", str(path)], ["flow", str(path), *_FLOW], ["curvature", str(path)],
-                 ["invariants", str(path), "--order", "0"]):
+                 ["invariants", str(path), "--order", "0"], ["distance", str(path), str(path)],
+                 ["jet", str(path), "--degree", "2"]):
         code = main(argv)
         _assert_clean_exit(code, capsys.readouterr().err)
 
@@ -780,8 +815,6 @@ _names = st.one_of(st.sampled_from(_SU2_COLUMNS),
                    st.text(alphabet="ct_0123-x", min_size=1, max_size=8))
 
 
-# fuzzed constants reach 1e308, so numpy overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=st.one_of(st.just(_SU2_COLUMNS), st.lists(_names, max_size=16)),
@@ -809,8 +842,6 @@ _param_text = st.one_of(st.sampled_from([3, 4, 6, 8]), st.integers(0, 9)).flatma
 _family_names = st.sampled_from(["milnor", "circle3", "circle5", "aloff_wallach", "torus"])
 
 
-# fuzzed parameters reach 1e308, so numpy overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=_family_names, params=st.lists(_param_text, min_size=1, max_size=3),

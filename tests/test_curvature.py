@@ -601,3 +601,15 @@ def test_curvature_data_to_dict_round_trips_values():
                        data.riemann)
     assert np.allclose(np.array(d["ricci"]), data.ricci)
     assert d["invariants"] == pytest.approx(data.invariants)
+
+
+def test_orbit_distance_refuses_squares_near_the_top_of_the_float_range():
+    # |nabla Riem|^2 has degree 6 in mu: near s = 10^50.9 it is in the float range,
+    # but the sums of squares the alignment forms are not
+    def pair(s):
+        return br.milnor_bracket(-s, 1.5 * s, 2 * s), br.milnor_bracket(s, 1.5 * s, 2 * s)
+
+    for e in (50.85, 50.9, 50.95):
+        with pytest.raises(ValueError, match=r"\(\|w_mu\|\^2 \+ \|w_lam\|\^2\) is outside"):
+            cu.invariant_distance(*pair(10**e))
+    assert math.isfinite(cu.invariant_distance(*pair(10**50.5)))
