@@ -104,8 +104,8 @@ def cmd_curvature(args):
 
 def cmd_invariants(args):
     mu = br.read_bracket(args.bracket)
-    fp = cu.fingerprint(mu, args.order)
-    invariants, norms_sq = cu.scalar_invariants(mu), fp.norms_sq()
+    invariants, fp = cu.scalar_invariants(mu), cu.fingerprint(mu, args.order)  # f_k named first
+    norms_sq = fp.norms_sq()
     print("scalar invariants f_k: " + " ".join(map(_fmt, invariants)))
     for k, norm_sq in enumerate(norms_sq):
         print(f"|nabla^{k} Riem|^2 : {norm_sq!r}")

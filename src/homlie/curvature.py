@@ -19,8 +19,8 @@ positive sectional curvature:
     Riem(x, y, z, w) = <R(x, y) z, w>,    sec(x, y) = Riem(x, y, y, x),
     Ric(y, z) = sum_i Riem(e_i, y, z, e_i).
 
-ricci_operator takes that trace inside the formula for R (Besse,
-Einstein Manifolds, 7.38), one contraction without building Riem.
+ricci_contraction takes that trace inside the formula for R (Besse, 7.38)
+on raw constants, one contraction without Riem; ricci_operator wraps it.
 
 The series path in the coordinates module computes the same tensors
 from the metric Taylor expansion alone and is used as an independent
@@ -141,20 +141,25 @@ def _power_traces(ric, count):
     return out
 
 
-def ricci_operator(mu):
-    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b).
+def ricci_contraction(c, q):
+    """Symmetrized Ricci from float constants c with q isotropy directions first.
 
-    Ricci by contraction (Besse, Einstein Manifolds, 7.38), symmetrized:
+    Ricci by contraction (Besse, Einstein Manifolds, 7.38):
     Ric[a, b] = tr . D[a, :, b] - sum_{r,k} (D[a,r,k] + c[k,a,r]) D[r,k,b]
                 - sum_{k,z} c[k,a,z] c[z,b,k],  tr = sum_k D[k, k] (z isotropy).
     """
-    c, q, n = mu.float_c, mu.q, mu.n
+    n = c.shape[0] - q
     ct = c[q:, q:, q:]
     d = _koszul(ct)
     ric = d.trace() @ d - (d + ct.transpose(1, 2, 0)).reshape(n, -1) @ d.reshape(-1, n)
     if q > 0:
         ric -= np.einsum("kaz,zbk->ab", c[q:, q:, :q], c[:q, q:, q:])
     return 0.5 * (ric + ric.T)
+
+
+def ricci_operator(mu):
+    """Ricci endomorphism on the tangent block, Ric[a, b] = Ric(e_a, e_b)."""
+    return ricci_contraction(mu.float_c, mu.q)
 
 
 def scalar_invariants(mu, count=None):
@@ -200,20 +205,26 @@ class Fingerprint:
     tensor, entry k >= 1 is Nomizu's derivation D applied k times (see
     the module docstring).  Derivative indices are prepended in
     application order.  Exact brackets give Fraction entries throughout,
-    computed in integers and divided once (see fingerprint).
+    computed in integers and divided once (see fingerprint).  Float tensors
+    are refused where their squared norms leave the float range.
     """
 
     def __init__(self, n, order, tensors):
         self.n = n
         self.order = order
         self.tensors = tensors
+        self._norms_sq = None
+        if tensors[0].dtype != object:
+            self.norms_sq()    # float tensors beyond the float range are refused here, by name
 
     def norms_sq(self):
-        """|nabla^k Riem|^2, k = 0..order, as floats; a ValueError names the first
-        beyond the float range.  A finite sum of squares bounds every entry too."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [finite_float(f"|nabla^{k} Riem|^2", np.sum(t * t))
-                    for k, t in enumerate(self.tensors)]
+        """|nabla^k Riem|^2, k = 0..order, as floats, computed once; a ValueError names
+        the first beyond the float range.  A finite sum of squares bounds every entry too."""
+        if self._norms_sq is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._norms_sq = [finite_float(f"|nabla^{k} Riem|^2", (t * t).sum())
+                                  for k, t in enumerate(self.tensors)]
+        return list(self._norms_sq)
 
     def norm(self):
         return math.sqrt(sum(self.norms_sq()))
@@ -249,8 +260,9 @@ MAX_FINGERPRINT_ENTRIES = 5 * 10**7
 
 
 def fingerprint(mu, order=2):
-    """Fingerprint of the given order; raises ValueError on a non-member
-    or when the top tensor would exceed MAX_FINGERPRINT_ENTRIES.
+    """Fingerprint of the given order; raises ValueError on a non-member,
+    when the top tensor would exceed MAX_FINGERPRINT_ENTRIES, or, for a
+    float bracket, naming the first |nabla^k Riem|^2 beyond the float range.
 
     Exact brackets are computed in Python ints.  D is linear in the
     constants and Riem quadratic, so order k scales by s^(2+k) when the

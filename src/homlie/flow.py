@@ -13,19 +13,19 @@ norm-normalized flow are exactly the brackets whose right-hand side is
 a multiple of the bracket itself (algebraic solitons); the scale-free
 defect of that property is reported by soliton_residual.
 
-Integration uses an embedded Dormand-Prince 5(4) pair with standard
-step control; the seven stages of a step are the rows of one array, so
-stage states and weighted sums are matrix products with the tableau.  In
-normalized mode the state is rescaled to unit bracket norm after every
-accepted step, which keeps trajectories on the sphere without changing
-their direction field.  Each recorded sample carries its soliton
-residual, taken from the right-hand side already computed for it.
+Integration uses an embedded Dormand-Prince 5(4) pair with standard step
+control.  Each stage is one Ricci contraction and one right-hand side on
+the raw state array; the 7th stage's state is the 5th-order solution, so
+on the plain flow a step's last stage is the next one's first (first
+same as last).  Normalized mode rescales to unit bracket norm after every
+accepted step and evaluates the rescaled state once.  A sample takes its
+Ricci eigenvalues and soliton residual from its state's evaluation.
 """
 
 import numpy as np
 
 from .brackets import Bracket, require_member
-from .curvature import ricci_operator
+from .curvature import ricci_contraction, ricci_operator
 
 __all__ = [
     "bracket_flow_rhs",
@@ -46,8 +46,6 @@ BUTCHER_A[np.tril_indices(7, -1)] = [
     19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
     9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
     35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-
-WEIGHTS = BUTCHER_A[6]
 
 # difference between 5th- and 4th-order weights
 ERROR_COEFFS = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
@@ -167,12 +165,11 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     q, n = mu0.q, mu0.n
     shape = (mu0.dim,) * 3
 
-    # perfbench/layers.py counts RHS evaluations and accepted steps from
-    # the calls of this module's ricci_operator: one per right-hand side,
-    # one per sample, each on a Bracket that checks the state is valid.
+    # a stage evaluates (ric, rhs) on a view of y: one Ricci contraction, no Bracket
     def f(y):
         c = y.reshape(shape)
-        return _rhs(c, q, ricci_operator(Bracket(q, n, c))).ravel()
+        ric = ricci_contraction(c, q)
+        return ric, _rhs(c, q, ric).ravel()
 
     y = mu0.as_float().ravel()
     scale = 1.0
@@ -183,26 +180,24 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         y = y / nrm
         scale = 1.0 / nrm
 
-    def sample(t, y, residual):
-        mu = Bracket(q, n, y.reshape(shape))
-        eigs = np.sort(np.linalg.eigvalsh(ricci_operator(mu)))[::-1]
-        return FlowSample(t, mu, float(np.linalg.norm(y)), eigs, scale, residual)
+    def sample(t, y, ric, residual):
+        return FlowSample(t, Bracket(q, n, y.reshape(shape)), float(np.linalg.norm(y)),
+                          np.sort(np.linalg.eigvalsh(ric))[::-1], scale, residual)
 
     if not normalized and np.linalg.norm(y) > blow_up:
         # blown up before the first step, where the right-hand side, cubic
         # in mu, can overflow; the residual is scale-free, so it is taken
         # at unit norm (one right-hand side and one sample, as a start)
         u = y / np.linalg.norm(y)
-        return FlowTrajectory("blow_up_detected", [sample(0.0, y, _residual(u, f(u)))], q, n)
+        return FlowTrajectory("blow_up_detected", [sample(
+            0.0, y, ricci_contraction(y.reshape(shape), q), _residual(u, f(u)[1]))], q, n)
 
     t = 0.0
-    fy = f(y)
-    samples = [sample(0.0, y, _residual(y, fy))]
+    ric, fy = f(y)
+    samples = [sample(0.0, y, ric, _residual(y, fy))]
     scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
-    dt = min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01
-    dt = min(dt, t_end)
-    steps = 0
-    accepted = 0
+    dt = min(min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01, t_end)
+    steps = accepted = 0
     status = "max_steps"
     k = np.empty((7, y.size))
 
@@ -210,20 +205,23 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         steps += 1
         k[0] = fy
         for s in range(1, 7):
-            k[s] = f(y + dt * (BUTCHER_A[s, :s] @ k[:s]))
-        y_new = y + dt * (WEIGHTS @ k)
+            y_new = y + dt * (BUTCHER_A[s, :s] @ k[:s])
+            ric_new, k[s] = f(y_new)
         err = dt * (ERROR_COEFFS @ k)
         tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = np.sqrt(np.mean((err / tol) ** 2))
+        if not np.isfinite(err_norm):  # a non-finite stage; a larger dt would not end it
+            raise ValueError("structure constants must be finite")
 
         if err_norm <= 1.0:
             t += dt
             y = y_new
             if normalized:
                 nrm = np.linalg.norm(y)
-                y = y / nrm
-                scale = scale / nrm
-            fy = f(y)
+                y, scale = y / nrm, scale / nrm
+                ric, fy = f(y)
+            else:
+                ric, fy = ric_new, k[6].copy()    # first same as last; k is overwritten next
             accepted += 1
             if np.linalg.norm(y) > blow_up:
                 status = "blow_up_detected"
@@ -232,7 +230,7 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
                 status = "completed"
                 break
             if accepted % record_stride == 0:
-                samples.append(sample(t, y, _residual(y, fy)))
+                samples.append(sample(t, y, ric, _residual(y, fy)))
 
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         dt = dt * min(5.0, max(0.2, factor))
@@ -244,5 +242,5 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
 
     # the final state, once, whatever ended the run
     if samples[-1].t < t:
-        samples.append(sample(t, y, _residual(y, fy)))
+        samples.append(sample(t, y, ric, _residual(y, fy)))
     return FlowTrajectory(status, samples, q, n)

@@ -167,3 +167,81 @@ def exact_bracket(q, n, entries):
     """Build an exact (Fraction) bracket from (i, j, k, value) entries."""
     vals = [(i, j, k, Fraction(v)) for i, j, k, v in entries]
     return Bracket.from_entries(q, n, vals)
+
+
+def reference_flow(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
+                   max_steps=100000, blow_up=1e8, record_stride=1):
+    """Dormand-Prince 5(4) bracket flow with every right-hand side evaluated afresh.
+
+    The stepping of flow.integrate written out plainly: each stage and
+    each accepted state gets a new right-hand side, that of
+    bracket_flow_rhs on a new Bracket (without the membership check, which
+    stage states near a blow-up fail: the Jacobi identity is quadratic and
+    a stage is a linear combination), the new state is the weighted sum of
+    all seven stages, and each sample takes its Ricci eigenvalues from
+    ricci_operator of its own bracket.  Returns
+    (status, samples, attempted steps), samples as (t, constants, norm,
+    Ricci eigenvalues, scale, residual).  No blow-up at the start.
+    """
+    from homlie.curvature import ricci_operator
+    from homlie.flow import BUTCHER_A, ERROR_COEFFS, _residual, _rhs
+
+    q, n = mu0.q, mu0.n
+    shape = (mu0.dim,) * 3
+
+    def f(y):
+        mu = Bracket(q, n, y.reshape(shape))
+        return _rhs(mu.c, q, ricci_operator(mu)).ravel()
+
+    def sample(t, y, scale, fy):
+        mu = Bracket(q, n, y.reshape(shape))
+        eigs = np.sort(np.linalg.eigvalsh(ricci_operator(mu)))[::-1]
+        return (t, mu.c, float(np.linalg.norm(y)), eigs, scale, _residual(y, fy))
+
+    y = mu0.as_float().ravel()
+    scale = 1.0
+    if normalized:
+        scale = 1.0 / np.linalg.norm(y)
+        y = y / np.linalg.norm(y)
+    assert normalized or np.linalg.norm(y) <= blow_up
+    t, steps, accepted, status = 0.0, 0, 0, "max_steps"
+    fy = f(y)
+    samples = [sample(0.0, y, scale, fy)]
+    scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
+    dt = min(min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01, t_end)
+    k = np.empty((7, y.size))
+    while steps < max_steps:
+        steps += 1
+        k[0] = fy
+        for s in range(1, 7):
+            k[s] = f(y + dt * (BUTCHER_A[s, :s] @ k[:s]))
+        y_new = y + dt * (BUTCHER_A[6] @ k)
+        err = dt * (ERROR_COEFFS @ k)
+        tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = np.sqrt(np.mean((err / tol) ** 2))
+        if err_norm <= 1.0:
+            t += dt
+            y = y_new
+            if normalized:
+                nrm = np.linalg.norm(y)
+                y, scale = y / nrm, scale / nrm
+            fy = f(y)
+            accepted += 1
+            if np.linalg.norm(y) > blow_up:
+                status = "blow_up_detected"
+                break
+            if t >= t_end - 1e-12 * max(1.0, t_end):
+                status = "completed"
+                break
+            if accepted % record_stride == 0:
+                samples.append(sample(t, y, scale, fy))
+        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        dt = dt * min(5.0, max(0.2, factor))
+        if t + dt > t_end:
+            dt = t_end - t
+        if dt < 1e-14 * max(1.0, abs(t)):
+            status = "step_underflow"
+            break
+    if samples[-1][0] < t:
+        samples.append(sample(t, y, scale, fy))
+    return status, samples, steps

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -601,6 +602,31 @@ def test_curvature_data_to_dict_round_trips_values():
                        data.riemann)
     assert np.allclose(np.array(d["ricci"]), data.ricci)
     assert d["invariants"] == pytest.approx(data.invariants)
+
+
+@pytest.mark.parametrize("mu, first", [
+    (br.milnor_bracket(1e140, 1e140, 2e140), 0),
+    (br.milnor_bracket(1e45, 2e45, 3e45), 2),
+], ids=["riem", "nabla2"])
+def test_float_fingerprint_beyond_the_float_range_is_refused_by_name(mu, first):
+    # no fingerprint is returned whose to_dict would hold Infinity or NaN
+    name = rf"^\|nabla\^{first} Riem\|\^2 is outside the float range"
+    with pytest.raises(ValueError, match=name):
+        json.dumps(cu.fingerprint(mu, 2).to_dict())
+
+
+def test_fingerprint_norms_are_computed_once():
+    # float: at construction, where the gate needs them; exact: on demand
+    for mu in (br.milnor_bracket(1.0, 0.5, 0.25), br.milnor_bracket(1, 2, 3)):
+        fp = cu.fingerprint(mu, 2)
+        assert (fp._norms_sq is None) == mu.exact
+        first = fp.norms_sq()
+        first.append(0.0)
+        assert fp.norms_sq() == fp._norms_sq and len(fp.norms_sq()) == 3
+    # an exact fingerprint beyond the float range is built; its norms are refused
+    fp = cu.fingerprint(br.milnor_bracket(10**80, 10**80, 10**80), 1)
+    with pytest.raises(ValueError, match=r"^\|nabla\^0 Riem\|\^2 is outside"):
+        fp.norms_sq()
 
 
 def test_orbit_distance_refuses_squares_near_the_top_of_the_float_range():

@@ -7,7 +7,7 @@ import pytest
 import homlie.brackets as br
 import homlie.curvature as cu
 import homlie.flow as fl
-from helpers import conjugated_flow_derivative
+from helpers import conjugated_flow_derivative, reference_flow
 
 
 def unit_su2():
@@ -297,3 +297,91 @@ def test_sample_residual_equals_soliton_residual(mu, normalized):
     assert len(traj.samples) > 10
     for s in traj.samples:
         assert s.residual == fl.soliton_residual(s.bracket)
+
+
+# ---------------------------------------------------------------------------
+# integrate against the plain stepper: raw-array stages, first same as last
+# ---------------------------------------------------------------------------
+
+FAMILIES = [
+    br.milnor_bracket(1.0, 0.5, 0.25),
+    br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
+    br.circle_isotropy5(1.0, 3.0, 0.5, 1.0, -1.4, 0.7, 2.0, -1.5),
+    br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5),
+] + [br.random_member(q, n, seed)
+     for q, n, seed in [(0, 3, 1), (0, 4, 2), (0, 5, 3), (1, 3, 1), (1, 3, 4)]]
+
+
+@pytest.mark.parametrize("mu", FAMILIES, ids=[
+    "milnor", "circle3", "circle5", "aloff_wallach", "random_q0_n3", "random_q0_n4",
+    "random_q0_n5", "random_q1_n3", "random_q1_n3_seed4"])
+def test_raw_contraction_and_stage_rhs_equal_the_public_functions(mu):
+    c = mu.as_float()
+    ric = cu.ricci_contraction(c, mu.q)
+    assert np.array_equal(ric, cu.ricci_operator(mu))
+    assert np.array_equal(fl._rhs(c, mu.q, ric), fl.bracket_flow_rhs(mu).c)
+
+
+# (bracket, t_end, options): plain runs with 15, 36 and 73 rejected steps
+# (the last ends in blow-up) and 2 at rtol 1e-12, normalized runs, strides
+BIT_IDENTICAL_RUNS = [
+    (br.milnor_bracket(1.0, 1.0, 1.0), 0.9999, dict(rtol=1e-3)),
+    (br.milnor_bracket(1.0, 1.0, 1.0), 0.9999, dict(rtol=1e-6)),
+    (br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5), 1.0, dict(rtol=1e-6)),
+    (br.milnor_bracket(10.0, 1.0, -1.0), 1.0, dict(rtol=1e-12)),
+    (br.circle_isotropy3(0.8, -0.3, 1.1, 0.7), 5.0, dict(normalized=True)),
+    (br.milnor_bracket(1.0, 0.5, 0.25), 5.0, dict(normalized=True)),
+    (br.milnor_bracket(1.0, 0.5, 0.25), 5.0, dict(normalized=True, record_stride=3)),
+    (br.milnor_bracket(1.0, 1.0, 1.0), 0.9999, dict(rtol=1e-6, record_stride=3)),
+]
+
+
+@pytest.mark.parametrize("mu, t_end, options", BIT_IDENTICAL_RUNS, ids=[
+    "su2_1e-3", "su2_1e-6", "aloff_wallach_blow_up", "milnor_1e-12", "circle3_normalized",
+    "milnor_normalized", "milnor_normalized_stride3", "su2_stride3"])
+def test_integrate_equals_the_plain_stepper_bit_for_bit(mu, t_end, options):
+    status, want, _ = reference_flow(mu, t_end, **options)
+    traj = fl.integrate(mu, t_end, **options)
+    assert traj.status == status and len(traj.samples) == len(want)
+    for s, (t, c, norm, eigs, scale, residual) in zip(traj.samples, want):
+        assert (s.t, s.norm, s.scale, s.residual) == (t, norm, scale, residual)
+        assert np.array_equal(s.bracket.c, c) and np.array_equal(s.ricci_eigenvalues, eigs)
+
+
+def test_the_plain_bit_identity_runs_reject_steps():
+    # a rejected step reruns k from the same first stage, so a last stage
+    # aliased into the next attempt's first shows only on runs like these
+    for (mu, t_end, options), rejected in zip(BIT_IDENTICAL_RUNS, [15, 36, 73, 2]):
+        _, samples, attempted = reference_flow(mu, t_end, **options)
+        assert attempted - (len(samples) - 1) == rejected
+
+
+@pytest.mark.parametrize("mu, t_end, options", [
+    (br.milnor_bracket(1.0, 1.0, 1.0), 0.9999, dict(rtol=1e-3)),
+    (br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5), 1.0, dict(rtol=1e-6)),
+    (br.circle_isotropy3(0.8, -0.3, 1.1, 0.7), 2.0, dict(record_stride=3)),
+], ids=["su2", "aloff_wallach", "circle3_stride3"])
+def test_plain_run_makes_one_contraction_per_stage(monkeypatch, mu, t_end, options):
+    calls = [0]
+    contraction = cu.ricci_contraction
+
+    def counted(c, q):
+        calls[0] += 1
+        return contraction(c, q)
+
+    monkeypatch.setattr(fl, "ricci_contraction", counted)
+    fl.integrate(mu, t_end, **options)
+    monkeypatch.undo()
+    _, _, attempted = reference_flow(mu, t_end, **options)
+    assert calls[0] == 1 + 6 * attempted
+
+
+def test_non_finite_stage_raises_at_once():
+    # the first right-hand side overflows; without the check a NaN error
+    # norm would grow dt fivefold on every rejection until max_steps
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="^structure constants must be finite$"):
+            fl.integrate(br.milnor_bracket(1e140, 2e140, 3e140), 1.0, blow_up=math.inf)
+        for s in (1e60, 1e100):
+            traj = fl.integrate(br.milnor_bracket(s, 2 * s, 3 * s), 1.0, blow_up=math.inf)
+            assert traj.status == "step_underflow" and len(traj.samples) == 2
