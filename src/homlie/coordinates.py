@@ -23,7 +23,9 @@ cross-check (and the arbiter of sign conventions) for the fast
 algebraic path in the curvature module.
 
 The chart is centred at the identity coset; the jet of degree D
-determines nabla^k Riem at the origin exactly for k <= D - 2.
+determines nabla^k Riem at the origin exactly for k <= D - 2.  Graded-lex
+order puts the monomials of degree <= d first, so truncation is a slice:
+nabla^K Riem computes Gamma in degree K + 1 and nabla^j Riem in degree K - j.
 """
 
 import math
@@ -156,58 +158,67 @@ def metric_jet(mu, degree):
 
 
 def _christoffel(space, g):
-    """Christoffel symbols Gamma^k_{ij} of a polynomial metric.
+    """Christoffel symbols Gamma^k_{ij} of a polynomial metric g given in
+    space, returned one degree lower, where first derivatives of g end.
 
     The inverse metric comes from the Neumann series of g = I + h,
-    which terminates within the truncation degree because h has no
-    constant term.
+    which terminates within that degree because h has no constant term.
     """
     n = space.nvars
     exact = g.dtype == object
+    low = PolySpace(n, space.degree - 1)
 
-    eye = space.zeros((n, n), exact)
+    dg = np.stack([space.diff(g, m) for m in range(n)])[..., :low.size]   # dg[m, i, j]
+    eye = low.zeros((n, n), exact)
     eye[np.arange(n), np.arange(n), 0] = 1
-    h = g - eye
+    h = g[..., :low.size] - eye
     ginv = eye.copy()
     term = eye.copy()
-    for _ in range(space.degree):
-        term = -space.mul("ik,kj->ij", term, h)
+    for _ in range(low.degree):
+        term = -low.mul("ik,kj->ij", term, h)
         ginv = ginv + term
 
-    dg = np.stack([space.diff(g, m) for m in range(n)])   # dg[m, i, j]
     # c[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     cc = (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (2, 1, 0, 3))
           - np.transpose(dg, (0, 1, 2, 3)))
-    gam = space.mul("kl,lij->kij", ginv, cc)
+    gam = low.mul("kl,lij->kij", ginv, cc)
     # exact callers scale g so that cc is even (see curvature_derivatives)
     return gam // 2 if exact else 0.5 * gam
 
 
 def _riemann_poly(space, g, gam):
-    """Lowered curvature tensor Riem_{ijkl} = <R(d_i, d_j) d_k, d_l>."""
+    """Lowered curvature tensor Riem_{ijkl} = <R(d_i, d_j) d_k, d_l> from gam given
+    in space, returned one degree lower; g may be given in any higher space."""
     n = space.nvars
-    dgam = np.stack([space.diff(gam, m) for m in range(n)])   # dgam[m, k, i, j]
+    low = PolySpace(n, space.degree - 1)
+    dgam = np.stack([space.diff(gam, m) for m in range(n)])[..., :low.size]   # dgam[m, k, i, j]
+    gam = gam[..., :low.size]
     # rup[l, k, i, j] = R^l_{kij}
     #   = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im} Gamma^m_{jk} - (i <-> j)
-    gg = space.mul("lim,mjk->lkij", gam, gam)
+    gg = low.mul("lim,mjk->lkij", gam, gam)
     rup = (np.einsum("iljk...->lkij...", dgam) - np.einsum("jlik...->lkij...", dgam)
            + gg - np.swapaxes(gg, 2, 3))
-    return space.mul("lm,mkij->ijkl", g, rup)
+    return low.mul("lm,mkij->ijkl", g[..., :low.size], rup)
 
 
 def _covariant_derivative(space, gam, t):
-    """One covariant derivative of a covariant poly tensor, index prepended."""
+    """One covariant derivative of a covariant poly tensor t given in space, index
+    prepended, returned one degree lower; gam may be given in any higher space."""
     n = space.nvars
-    out = np.stack([space.diff(t, m) for m in range(n)])
+    low = PolySpace(n, space.degree - 1)
+    out = np.stack([space.diff(t, m) for m in range(n)])[..., :low.size]
+    t, gam = t[..., :low.size], gam[..., :low.size]
     for s in range(t.ndim - 1):
         # corr[m, b, rest...] = Gamma^p_{mb} t[..., p in slot s, ...]
-        corr = space.mul("pmb,p...->mb...", gam, np.moveaxis(t, s, 0))
+        corr = low.mul("pmb,p...->mb...", gam, np.moveaxis(t, s, 0))
         out = out - np.moveaxis(corr, 1, s + 1)
     return out
 
 
-# Most coefficients of curvature_derivatives' top tensor, n^(4 + order) * jet.space.size.
-# n = 7 passes at degree 3, order 1 (2e6; 2 s on one x86 core), not at degree 4, order 2.
+# Most coefficients of curvature_derivatives' top tensor over the whole jet,
+# n^(4 + order) * jet.space.size.  It bounds the input, not the work, which
+# stays in degree <= order + 2: n = 7 passes at degree 3, order 1 (2e6;
+# milliseconds), not at degree 4, order 2.
 MAX_SERIES_ENTRIES = 4 * 10**6
 
 
@@ -219,11 +230,16 @@ def curvature_derivatives(jet, order):
     indexed [m2, m1, i, j, k, l].  Requires jet.degree >= order + 2, and
     n^(4 + order) * jet.space.size at most MAX_SERIES_ENTRIES.
 
+    Each stage runs only to the degree its consumer reads, so the result
+    does not depend on the jet's degree: g is read to degree order + 2,
+    Gamma is computed in degree order + 1, Riem in degree order and
+    nabla^j Riem in degree order - j; each truncation is a slice.
+
     Exact jets give Fraction tensors, computed in Python ints: with L
-    the common denominator of g and N = 2L, the metric g(N x) has the
-    integer coefficients G_d = N^d g_d, all even for d >= 1, so its
-    Christoffel symbols are integer too.  Its entry k is N^(2+k) times
-    the one of g, and is divided out once at the end.
+    the common denominator of g to degree order + 2 and N = 2L, the
+    metric g(N x) has the integer coefficients G_d = N^d g_d, all even
+    for d >= 1, so its Christoffel symbols are integer too.  Its entry k
+    is N^(2+k) times the one of g, and is divided out once at the end.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -231,23 +247,22 @@ def curvature_derivatives(jet, order):
         raise ValueError(
             f"jet of degree {jet.degree} cannot determine order-{order} "
             f"derivatives; need degree >= {order + 2}")
-    space = jet.space
     # n >= 2 exceeds the cap below rank 64, so the power stays small
-    if jet.n ** min(4 + order, 64) * space.size > MAX_SERIES_ENTRIES:
+    if jet.n ** min(4 + order, 64) * jet.space.size > MAX_SERIES_ENTRIES:
         raise ValueError(f"order {order} of a degree-{jet.degree} jet at n = {jet.n} needs "
-                         f"{jet.n}^{4 + order} * {space.size} entries, above "
+                         f"{jet.n}^{4 + order} * {jet.space.size} entries, above "
                          f"MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
-    g = jet.g
+    space = PolySpace(jet.n, order + 2)
+    g = jet.g[..., :space.size]
     if jet.exact:
         scale = 2 * common_denominator(g)
         g = to_integers(g, scale ** space.degrees.astype(object))
     gam = _christoffel(space, g)
-    riem = _riemann_poly(space, g, gam)
-    out = [space.value_at_zero(riem)]
-    t = riem
-    for _ in range(order):
-        t = _covariant_derivative(space, gam, t)
-        out.append(space.value_at_zero(t))
+    t = _riemann_poly(PolySpace(jet.n, order + 1), g, gam)
+    out = [t[..., 0]]
+    for j in range(order):
+        t = _covariant_derivative(PolySpace(jet.n, order - j), gam, t)
+        out.append(t[..., 0])
     if jet.exact:
         return [from_integers(a, scale ** (2 + k)) for k, a in enumerate(out)]
     return [np.asarray(a, dtype=float) for a in out]

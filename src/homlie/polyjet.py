@@ -138,9 +138,6 @@ class PolySpace:
 
     # -- evaluation ----------------------------------------------------
 
-    def value_at_zero(self, a):
-        return np.asarray(a)[..., 0]
-
     def monomial_values(self, x):
         """Values of every basis monomial at the point x: Fractions when
         every coordinate is an int or a Fraction, float64 otherwise.

@@ -231,6 +231,44 @@ def test_curvature_derivatives_above_size_cap_fail_at_once(monkeypatch):
         co.curvature_derivatives(jet, 2)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_curvature_derivatives_multiply_below_degree_order_plus_2(monkeypatch, order):
+    # Gamma is needed to degree order + 1 and every later stage lower, so no
+    # product may run in a higher space, however high the jet's degree
+    jet = co.metric_jet(br.milnor_bracket(1.0, 2.0, 3.0), order + 4)
+    degrees = []
+    mul = co.PolySpace.mul
+
+    def recording_mul(self, *args):
+        degrees.append(self.degree)
+        return mul(self, *args)
+
+    monkeypatch.setattr(co.PolySpace, "mul", recording_mul)
+    co.curvature_derivatives(jet, order)
+    assert max(degrees) == order + 1
+    assert min(degrees) == 0      # the top tensor is only read at the origin
+
+
+@pytest.mark.parametrize("mu", [
+    br.milnor_bracket(1.0, 2.0, 3.0),
+    br.milnor_bracket(1, 2, 3),
+    br.circle_isotropy3(0.8, -0.3, 1.1, 0.7),
+    br.circle_isotropy3(Fraction(4, 5), Fraction(-3, 10), Fraction(11, 10), Fraction(7, 10)),
+    br.random_member(0, 4, seed=0),
+], ids=["milnor", "milnor_exact", "circle3", "circle3_exact", "random_q0_n4"])
+def test_curvature_derivatives_do_not_depend_on_jet_degree(mu):
+    order = 2
+    want = co.curvature_derivatives(co.metric_jet(mu, order + 2), order)
+    for degree in (order + 3, order + 4):
+        got = co.curvature_derivatives(co.metric_jet(mu, degree), order)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            if mu.exact:
+                assert all(type(x) is Fraction and x == y for x, y in zip(a.ravel(), b.ravel()))
+            else:
+                assert a.tobytes() == b.tobytes()
+
+
 def test_toy_sphere_constant_curvature_from_jet():
     a = 0.7
     mu = br.Bracket(1, 2, toy_sphere(Fraction(7, 10)).as_float())

@@ -140,10 +140,11 @@ def test_series_path_agrees_with_algebraic_path(mu):
 
 @pytest.mark.parametrize("mu, order", [
     (br.milnor_bracket(1.0, 2.0, 3.0), 2),
-    (br.random_member(0, 4, seed=0), 2),
+    (br.random_member(0, 4, seed=0), 3),
     (br.circle_isotropy3(0.8, -0.3, 1.1, 0.7), 2),
-    (br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0), 1),
-], ids=["milnor", "random_q0_n4", "circle3", "circle5"])
+    (br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0), 2),
+    (br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5), 1),
+], ids=["milnor", "random_q0_n4", "circle3", "circle5", "aloff_wallach"])
 def test_fingerprint_agrees_with_series_path(mu, order):
     # Nomizu's derivation formula against Christoffel calculus on the
     # metric Taylor series; this is what keeps the series path checked
@@ -160,9 +161,10 @@ def _assert_fractions_equal(got, want):
 
 
 def test_exact_fingerprint_equals_exact_series_path():
-    for mu in (br.milnor_bracket(1, 2, 3), br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1)):
-        fp = cu.fingerprint(mu, 1)
-        series = curvature_derivatives(metric_jet(mu, 3), 1)
+    for mu, order in ((br.milnor_bracket(1, 2, 3), 1),
+                      (br.circle_isotropy5(1, 2, 1, 2, 1, -1, 1, -1), 2)):
+        fp = cu.fingerprint(mu, order)
+        series = curvature_derivatives(metric_jet(mu, order + 2), order)
         for alg, ser in zip(fp.tensors, series):
             _assert_fractions_equal(alg, ser)
 
