@@ -11,114 +11,19 @@ through the bracket flow.  Submodules:
 * ``curvature``    algebraic curvature, fingerprints, orbit distance
 * ``flow``         the bracket flow and soliton diagnostics
 * ``classify``     isometry and topology diagnostics
+
+The package exports each of these submodules' ``__all__``; ``polyjet``,
+the polynomial arithmetic under ``coordinates``, is not exported.
 """
 
-from .brackets import (
-    Bracket,
-    MembershipReport,
-    aloff_wallach_bracket,
-    bracket_from_dict,
-    bracket_norm,
-    bracket_to_dict,
-    check_equivariant_conditions,
-    check_membership,
-    circle_isotropy3,
-    circle_isotropy5,
-    default_tolerance,
-    family_member,
-    flat_degeneration,
-    gl_action,
-    jacobiator,
-    milnor_bracket,
-    random_member,
-    read_bracket,
-    resplit,
-    write_bracket,
-)
-from .coordinates import (
-    InjectivityBound,
-    MetricJet,
-    coordinate_curvature_oracle,
-    curvature_derivatives,
-    injectivity_bound,
-    is_completely_solvable,
-    metric_jet,
-)
-from .curvature import (
-    CurvatureData,
-    Fingerprint,
-    curvature_data,
-    fingerprint,
-    invariant_distance,
-    ricci_operator,
-    riemann_origin,
-    rotate_tensor,
-    scalar_invariants,
-)
-from .flow import (
-    FlowSample,
-    FlowTrajectory,
-    bracket_flow_rhs,
-    integrate,
-    soliton_residual,
-)
-from .classify import (
-    AWReport,
-    aw_equivalence,
-    aw_find_witnesses,
-    commutant,
-    isometry_test,
-    sequence_diagnostics,
-)
+from . import brackets, classify, coordinates, curvature, flow
+from .brackets import *
+from .coordinates import *
+from .curvature import *
+from .flow import *
+from .classify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AWReport",
-    "Bracket",
-    "CurvatureData",
-    "Fingerprint",
-    "FlowSample",
-    "FlowTrajectory",
-    "InjectivityBound",
-    "MembershipReport",
-    "MetricJet",
-    "aloff_wallach_bracket",
-    "aw_equivalence",
-    "aw_find_witnesses",
-    "bracket_flow_rhs",
-    "bracket_from_dict",
-    "bracket_norm",
-    "bracket_to_dict",
-    "check_equivariant_conditions",
-    "check_membership",
-    "circle_isotropy3",
-    "circle_isotropy5",
-    "commutant",
-    "coordinate_curvature_oracle",
-    "curvature_data",
-    "curvature_derivatives",
-    "default_tolerance",
-    "family_member",
-    "fingerprint",
-    "flat_degeneration",
-    "gl_action",
-    "injectivity_bound",
-    "integrate",
-    "invariant_distance",
-    "is_completely_solvable",
-    "isometry_test",
-    "jacobiator",
-    "metric_jet",
-    "milnor_bracket",
-    "random_member",
-    "read_bracket",
-    "resplit",
-    "ricci_operator",
-    "riemann_origin",
-    "rotate_tensor",
-    "scalar_invariants",
-    "sequence_diagnostics",
-    "soliton_residual",
-    "write_bracket",
-]
+__all__ = sorted([*brackets.__all__, *coordinates.__all__, *curvature.__all__,
+                  *flow.__all__, *classify.__all__])

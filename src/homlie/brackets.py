@@ -28,6 +28,7 @@ Conventions used throughout the package:
 * the group action is (h.mu)(x, y) = h mu(h^-1 x, h^-1 y).
 """
 
+import dataclasses
 import json
 import math
 import numbers
@@ -42,6 +43,7 @@ __all__ = [
     "bracket_norm",
     "jacobiator",
     "check_membership",
+    "default_tolerance",
     "require_member",
     "gl_action",
     "check_equivariant_conditions",
@@ -239,22 +241,18 @@ def jacobiator(mu):
     return t + t.transpose((2, 0, 1, 3)) + t.transpose((1, 2, 0, 3))
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class MembershipReport:
     """Outcome of check_membership, one field per structural condition."""
 
-    __slots__ = ("q", "n", "tol", "h1_jacobi_residual", "h1_subspace_residual",
-                 "h2_status", "h3_residual", "h4_kernel_dim")
-
-    def __init__(self, q, n, tol, h1_jacobi_residual, h1_subspace_residual,
-                 h2_status, h3_residual, h4_kernel_dim):
-        self.q = q
-        self.n = n
-        self.tol = tol
-        self.h1_jacobi_residual = h1_jacobi_residual
-        self.h1_subspace_residual = h1_subspace_residual
-        self.h2_status = h2_status
-        self.h3_residual = h3_residual
-        self.h4_kernel_dim = h4_kernel_dim
+    q: int
+    n: int
+    tol: float
+    h1_jacobi_residual: float
+    h1_subspace_residual: float
+    h2_status: str
+    h3_residual: float
+    h4_kernel_dim: int
 
     @property
     def passed(self):

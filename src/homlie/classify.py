@@ -21,6 +21,7 @@ diffeomorphic iff s = +-s' mod 2^5 3 7 r (the factor 7 drops out when
 {p, q, -(p+q)} agree up to an overall sign.  All arithmetic is exact.
 """
 
+import dataclasses
 import math
 from itertools import product
 
@@ -87,29 +88,23 @@ def isometry_test(mu, lam, order=2):
     return f"indistinguishable_at_order_{order}"
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class AWReport:
     """Topology comparison of two integer parameter pairs."""
 
-    __slots__ = ("pair", "pair_other", "r", "s", "r_other", "s_other",
-                 "homotopy_equivalent", "homeomorphic", "diffeomorphic",
-                 "equivariantly_diffeomorphic")
-
-    def __init__(self, pair, pair_other, r, s, r_other, s_other,
-                 homotopy_equivalent, homeomorphic, diffeomorphic,
-                 equivariantly_diffeomorphic):
-        self.pair = pair
-        self.pair_other = pair_other
-        self.r = r
-        self.s = s
-        self.r_other = r_other
-        self.s_other = s_other
-        self.homotopy_equivalent = homotopy_equivalent
-        self.homeomorphic = homeomorphic
-        self.diffeomorphic = diffeomorphic
-        self.equivariantly_diffeomorphic = equivariantly_diffeomorphic
+    pair: tuple
+    pair_other: tuple
+    r: int
+    s: int
+    r_other: int
+    s_other: int
+    homotopy_equivalent: bool
+    homeomorphic: bool
+    diffeomorphic: bool
+    equivariantly_diffeomorphic: bool
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
+        return dataclasses.asdict(self)
 
     def __repr__(self):
         return ("AWReport(pair={}, pair_other={}, homotopy={}, homeo={}, "

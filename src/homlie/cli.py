@@ -70,7 +70,7 @@ def _write_json(path, doc):
 
 def _ricci_spectrum(mu):
     """Eigenvalues of the Ricci endomorphism, descending, as floats."""
-    return np.sort(np.linalg.eigvalsh(cu.ricci_operator(mu)))[::-1].tolist()
+    return cu.ricci_spectrum(cu.ricci_operator(mu)).tolist()
 
 
 def _print_report(rep):

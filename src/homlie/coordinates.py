@@ -28,6 +28,7 @@ order puts the monomials of degree <= d first, so truncation is a slice:
 nabla^K Riem computes Gamma in degree K + 1 and nabla^j Riem in degree K - j.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 
+@dataclasses.dataclass(eq=False, repr=False)
 class MetricJet:
     """Polynomial jet of the canonical-coordinate metric at the origin.
 
@@ -57,12 +59,11 @@ class MetricJet:
     writes exact coefficients as "p/q" strings.
     """
 
-    def __init__(self, q, n, degree, space, g):
-        self.q = q
-        self.n = n
-        self.degree = degree
-        self.space = space
-        self.g = g
+    q: int
+    n: int
+    degree: int
+    space: PolySpace
+    g: np.ndarray
 
     @property
     def exact(self):
@@ -215,10 +216,9 @@ def _covariant_derivative(space, gam, t):
     return out
 
 
-# Most coefficients of curvature_derivatives' top tensor over the whole jet,
-# n^(4 + order) * jet.space.size.  It bounds the input, not the work, which
-# stays in degree <= order + 2: n = 7 passes at degree 3, order 1 (2e6;
-# milliseconds), not at degree 4, order 2.
+# Most coefficients of curvature_derivatives' top tensor in the degrees it
+# reads, n^(4 + order) * PolySpace(n, order + 2).size, whatever the jet's
+# degree: n = 7 passes at order 1 (2.0e6; milliseconds), not at order 2 (3.9e7).
 MAX_SERIES_ENTRIES = 4 * 10**6
 
 
@@ -228,7 +228,7 @@ def curvature_derivatives(jet, order):
     Entry k has rank 4 + k with the derivative indices prepended in
     application order: entry 2 is (nabla_m2 nabla_m1 Riem)_{i j k l}
     indexed [m2, m1, i, j, k, l].  Requires jet.degree >= order + 2, and
-    n^(4 + order) * jet.space.size at most MAX_SERIES_ENTRIES.
+    n^(4 + order) * PolySpace(n, order + 2).size at most MAX_SERIES_ENTRIES.
 
     Each stage runs only to the degree its consumer reads, so the result
     does not depend on the jet's degree: g is read to degree order + 2,
@@ -247,12 +247,12 @@ def curvature_derivatives(jet, order):
         raise ValueError(
             f"jet of degree {jet.degree} cannot determine order-{order} "
             f"derivatives; need degree >= {order + 2}")
-    # n >= 2 exceeds the cap below rank 64, so the power stays small
-    if jet.n ** min(4 + order, 64) * jet.space.size > MAX_SERIES_ENTRIES:
-        raise ValueError(f"order {order} of a degree-{jet.degree} jet at n = {jet.n} needs "
-                         f"{jet.n}^{4 + order} * {jet.space.size} entries, above "
-                         f"MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
     space = PolySpace(jet.n, order + 2)
+    # n >= 2 exceeds the cap below rank 64, so the power stays small
+    if jet.n ** min(4 + order, 64) * space.size > MAX_SERIES_ENTRIES:
+        raise ValueError(f"order {order} of a degree-{jet.degree} jet at n = {jet.n} needs "
+                         f"{jet.n}^{4 + order} * {space.size} entries, above "
+                         f"MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
     g = jet.g[..., :space.size]
     if jet.exact:
         scale = 2 * common_denominator(g)
@@ -277,25 +277,40 @@ def coordinate_curvature_oracle(jet, order):
 # injectivity radius bounds
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(eq=False, slots=True)
 class InjectivityBound:
     """Certified lower bound for the injectivity radius at the base point."""
 
-    __slots__ = ("lower", "method", "heuristic")
-
-    def __init__(self, lower, method, heuristic):
-        self.lower = lower
-        self.method = method
-        self.heuristic = heuristic
-
-    def __repr__(self):
-        return (f"InjectivityBound(lower={self.lower!r}, method={self.method!r}, "
-                f"heuristic={self.heuristic})")
+    lower: float
+    method: str
+    heuristic: bool
 
 
 # The refutation test of is_completely_solvable samples ad(x) on the basis
 # vectors and on this many random unit directions, drawn from this seed.
 _REFUTATION_SAMPLES = 64
 _REFUTATION_SEED = 0
+
+
+def _is_nilpotent(c):
+    """Whether the lower central series of the float constants c reaches zero."""
+    # nilpotency does not change under mu -> s mu, so the test runs on
+    # constants of unit size
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        return True
+    c = c / scale
+    norm = float(np.sqrt(np.sum(c * c)))
+    ads = np.array([ci.T for ci in c])
+    span = np.eye(c.shape[0])
+    for _ in range(c.shape[0] + 1):
+        images = np.concatenate([a @ span for a in ads], axis=1)
+        # span keeps rank >= 1, so images has a singular value
+        u, sv, _ = np.linalg.svd(images, full_matrices=False)
+        if sv[0] <= 1e-12 * (1.0 + norm):
+            return True
+        span = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
+    return False
 
 
 def is_completely_solvable(mu):
@@ -320,25 +335,10 @@ def is_completely_solvable(mu):
         raise ValueError("complete solvability test applies to q = 0 only")
     dim = mu.dim
     c = mu.float_c
-    # nilpotency and real spectra do not change under mu -> s mu, so both
-    # tests run on constants of unit size
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
+    if _is_nilpotent(c):
         return "certified"
-    c = c / scale
-    norm = float(np.sqrt(np.sum(c * c)))
-    ads = np.array([c[i].T for i in range(dim)])
-
-    # nilpotency via the lower central series
-    span = np.eye(dim)
-    for _ in range(dim + 1):
-        images = np.concatenate([a @ span for a in ads], axis=1)
-        # span keeps rank >= 1, so images has a singular value
-        u, sv, _ = np.linalg.svd(images, full_matrices=False)
-        if sv[0] <= 1e-12 * (1.0 + norm):
-            return "certified"
-        span = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
-
+    # real spectra do not change under mu -> s mu either
+    c = c / np.max(np.abs(c))
     rng = np.random.default_rng(_REFUTATION_SEED)
     directions = list(np.eye(dim))
     for _ in range(_REFUTATION_SAMPLES):
@@ -361,7 +361,7 @@ def injectivity_bound(mu):
     returned, which is rigorous for q = 0 and only a heuristic for
     q > 0, flagged accordingly.
     """
-    if mu.q == 0 and is_completely_solvable(mu) == "certified":
+    if mu.q == 0 and _is_nilpotent(mu.float_c):
         return InjectivityBound(math.inf, "completely_solvable", False)
     nrm = bracket_norm(mu)
     if nrm * nrm < np.finfo(float).tiny:

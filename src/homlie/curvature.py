@@ -67,6 +67,7 @@ parity classes of entries, so the 2^n sign vectors cost two class sums,
 and n is capped at MAX_ORBIT_DIM.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -162,25 +163,28 @@ def ricci_operator(mu):
     return ricci_contraction(mu.float_c, mu.q)
 
 
+def ricci_spectrum(ric):
+    """Eigenvalues of a Ricci endomorphism ric, descending."""
+    return np.sort(np.linalg.eigvalsh(ric))[::-1]
+
+
 def scalar_invariants(mu, count=None):
     """f_k = tr(Ric^k), k = 1..count (default n); a ValueError names one beyond the float range."""
     return _power_traces(ricci_operator(mu), mu.n if count is None else count)
 
 
+@dataclasses.dataclass(eq=False, repr=False, slots=True)
 class CurvatureData:
     """Curvature tensor, Ricci endomorphism and scalar invariants."""
 
-    __slots__ = ("riemann", "ricci", "invariants")
-
-    def __init__(self, riemann, ricci, invariants):
-        self.riemann = riemann
-        self.ricci = ricci
-        self.invariants = invariants
+    riemann: np.ndarray
+    ricci: np.ndarray
+    invariants: list
 
     @property
     def ricci_eigenvalues(self):
         """Eigenvalues of the Ricci endomorphism, descending."""
-        return np.sort(np.linalg.eigvalsh(self.ricci))[::-1]
+        return ricci_spectrum(self.ricci)
 
     def to_dict(self):
         return {

@@ -22,10 +22,12 @@ accepted step and evaluates the rescaled state once.  A sample takes its
 Ricci eigenvalues and soliton residual from its state's evaluation.
 """
 
+import dataclasses
+
 import numpy as np
 
 from .brackets import Bracket, require_member
-from .curvature import ricci_contraction, ricci_operator
+from .curvature import ricci_contraction, ricci_operator, ricci_spectrum
 
 __all__ = [
     "bracket_flow_rhs",
@@ -97,6 +99,7 @@ def soliton_residual(mu):
     return _residual(c, _rhs(c, mu.q, ricci_operator(mu)))
 
 
+@dataclasses.dataclass(eq=False, repr=False, slots=True)
 class FlowSample:
     """One recorded state: time, bracket, norm, Ricci eigenvalues.
 
@@ -108,17 +111,15 @@ class FlowSample:
     for the zero bracket), computed from the right-hand side in hand.
     """
 
-    __slots__ = ("t", "bracket", "norm", "ricci_eigenvalues", "scale", "residual")
-
-    def __init__(self, t, bracket, norm, ricci_eigenvalues, scale=1.0, residual=0.0):
-        self.t = t
-        self.bracket = bracket
-        self.norm = norm
-        self.ricci_eigenvalues = ricci_eigenvalues
-        self.scale = scale
-        self.residual = residual
+    t: float
+    bracket: Bracket
+    norm: float
+    ricci_eigenvalues: np.ndarray
+    scale: float = 1.0
+    residual: float = 0.0
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class FlowTrajectory:
     """Integration result: status and the recorded samples.
 
@@ -127,13 +128,10 @@ class FlowTrajectory:
     cover only the reached time span.
     """
 
-    __slots__ = ("status", "samples", "q", "n")
-
-    def __init__(self, status, samples, q, n):
-        self.status = status
-        self.samples = samples
-        self.q = q
-        self.n = n
+    status: str
+    samples: list
+    q: int
+    n: int
 
     @property
     def final(self):
@@ -182,7 +180,7 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
 
     def sample(t, y, ric, residual):
         return FlowSample(t, Bracket(q, n, y.reshape(shape)), float(np.linalg.norm(y)),
-                          np.sort(np.linalg.eigvalsh(ric))[::-1], scale, residual)
+                          ricci_spectrum(ric), scale, residual)
 
     if not normalized and np.linalg.norm(y) > blow_up:
         # blown up before the first step, where the right-hand side, cubic

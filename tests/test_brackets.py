@@ -416,3 +416,93 @@ def test_membership_is_scale_free(mu, scale):
     scaled = br.Bracket(mu.q, mu.n, scale * mu.c, family=mu.family, params=mu.params)
     rep = br.check_membership(scaled)
     assert rep.passed and rep.h4_kernel_dim == 0
+
+
+def test_bracket_repr_names_the_family_when_tagged():
+    assert repr(br.milnor_bracket(1.0, 1.0, 1.0)) == "Bracket(q=0, n=3, family='milnor')"
+    assert repr(br.Bracket(1, 2, np.zeros((3, 3, 3)))) == "Bracket(q=1, n=2)"
+
+
+def test_membership_report_repr_is_the_require_member_error():
+    bad = br.circle_isotropy3(1.0, 0.0, 1.0, 0.0)   # (h4) fails
+    text = ("MembershipReport(passed=False, jacobi=0.000e+00, subspace=0.000e+00, "
+            "h2=holds, h3=0.000e+00, h4_kernel_dim=1)")
+    assert repr(br.check_membership(bad)) == text
+    with pytest.raises(ValueError) as info:
+        br.require_member(bad)
+    assert str(info.value) == f"bracket fails the membership check: {text}"
+
+
+@pytest.mark.parametrize("q, n, c, message", [
+    (-1, 3, np.zeros((2, 2, 2)), "need q >= 0 and n >= 1"),
+    (0, 3, np.zeros((3, 3, 2)), r"must have shape \(3, 3, 3\), got \(3, 3, 2\)"),
+    (0, 2, np.full((2, 2, 2), np.nan), "must be finite"),
+], ids=["negative_q", "shape", "nan"])
+def test_bracket_rejects_bad_dense_constants(q, n, c, message):
+    with pytest.raises(ValueError, match=message):
+        br.Bracket(q, n, c)
+
+
+@pytest.mark.parametrize("entry", [(0, 3, 1, 1.0), (1, 0, 2, 1.0), (0, 1, -1, 1.0)])
+def test_from_entries_rejects_out_of_range_entries(entry):
+    with pytest.raises(ValueError, match="out of range or not upper-triangular"):
+        br.Bracket.from_entries(0, 3, [entry])
+
+
+def test_gl_action_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match="h must be 3 x 3"):
+        br.gl_action(np.eye(4), br.milnor_bracket(1.0, 1.0, 1.0))
+
+
+def test_equivariant_conditions_edge_cases():
+    mu = br.circle_isotropy3(1.0, 0.5, 1.0, 2.0)
+    with pytest.raises(ValueError, match="wrong shape"):
+        br.check_equivariant_conditions(np.eye(3), mu)
+    assert br.check_equivariant_conditions(np.eye(3), br.milnor_bracket(1.0, 2.0, 3.0)) \
+        == (True, True)
+    lower_left = np.eye(4)
+    lower_left[2, 0] = 1.0
+    with pytest.raises(ValueError, match="not block upper-triangular"):
+        br.check_equivariant_conditions(lower_left, mu)
+    # A = e_2^T: A ad(e_0)|_tangent has the entry -d, while ad(e_0) vanishes on R^q
+    h = np.eye(4)
+    h[0, 2] = 1.0
+    assert br.check_equivariant_conditions(h, mu) == (True, False)
+
+
+def test_flat_degeneration_of_an_exact_bracket_stays_exact():
+    mu = br.circle_isotropy3(1, 2, 3, Fraction(1, 2))
+    lam = br.flat_degeneration(mu)
+    assert lam.exact and lam.family == "flat"
+    assert all(v == 0 and type(v) is Fraction for v in lam.c[1:, 1:, :].ravel())
+    assert np.array_equal(lam.c[:1], mu.c[:1]) and np.array_equal(lam.c[:, :1], mu.c[:, :1])
+    assert br.check_membership(lam).passed
+
+
+@pytest.mark.parametrize("q", [-1, 3])
+def test_resplit_out_of_range(q):
+    with pytest.raises(ValueError, match="out of range"):
+        br.resplit(br.milnor_bracket(1.0, 1.0, 1.0), q)
+
+
+def test_aloff_wallach_refuses_the_zero_pair():
+    with pytest.raises(ValueError, match="must not both vanish"):
+        br.aloff_wallach_bracket(0, 0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_random_member_needs_two_tangent_directions():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        br.random_member(0, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[0, 3, []]", "malformed bracket document: list indices"),
+    ('{"q": 0, "n": 3, "entries": {"0": 1}}', "entries is not a list"),
+    ('{"q": 0, "n": 3, "entries": [[0, 1, 2, "abc"]]}', "malformed entry"),
+    ('{"q": 0, "n": 3, "entries": [[0, 1, 2, "1e1x"]]}', "malformed entry"),
+], ids=["list", "entries_object", "abc", "bad_exponent"])
+def test_read_bracket_rejects_malformed_documents(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        br.read_bracket(path)

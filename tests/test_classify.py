@@ -147,6 +147,15 @@ def test_aw_report_to_dict():
     d = cl.aw_equivalence(1, 2, 2, 1).to_dict()
     assert d["pair"] == (1, 2) and d["pair_other"] == (2, 1)
     assert d["equivariantly_diffeomorphic"] is True
+    assert list(d) == ["pair", "pair_other", "r", "s", "r_other", "s_other",
+                       "homotopy_equivalent", "homeomorphic", "diffeomorphic",
+                       "equivariantly_diffeomorphic"]
+
+
+def test_aw_report_repr():
+    assert repr(cl.aw_equivalence(1, 2, 1, 3)) == (
+        "AWReport(pair=(1, 2), pair_other=(1, 3), homotopy=False, homeo=False, "
+        "diffeo=False, equivariant=False)")
 
 
 def test_homeo_not_diffeo_pair_from_the_literature():

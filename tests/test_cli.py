@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import homlie.brackets as br
 import homlie.classify as cl
 import homlie.coordinates as co
+import homlie.curvature as cu
 from homlie.cli import REPRODUCE, main
 
 
@@ -189,6 +190,22 @@ def test_jet_of_exact_file_is_exact(exact_file, capsys):
     assert doc["entries"]
     for i, j, alpha, v in doc["entries"]:
         assert isinstance(v, str) and Fraction(v) == jet.coefficient(i, j, alpha)
+
+
+def test_exact_invariants_output_writes_the_fingerprint(exact_file, tmp_path, capsys):
+    out_json = str(tmp_path / "fp.json")
+    assert main(["invariants", exact_file, "--order", "1", "--output", out_json]) == 0
+    with open(out_json) as fh:
+        doc = json.load(fh)
+    fp = cu.fingerprint(br.read_bracket(exact_file), 1)
+    assert doc == {"n": 3, "order": 1, "shapes": [[3, 3, 3, 3], [3, 3, 3, 3, 3]],
+                   "tensors": [[float(v) for v in t.ravel()] for t in fp.tensors]}
+    assert "|nabla^1 Riem|^2" in capsys.readouterr().out
+
+
+def test_jet_negative_degree(exact_file, capsys):
+    assert main(["jet", exact_file, "--degree", "-1"]) == 1
+    assert capsys.readouterr().err == "error: degree must be >= 0\n"
 
 
 def test_jet_degree_past_factorial_overflow(tmp_path, capsys):

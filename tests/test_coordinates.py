@@ -216,6 +216,8 @@ def test_curvature_derivatives_need_enough_degree():
     jet = co.metric_jet(br.milnor_bracket(1.0, 1.0, 1.0), 2)
     with pytest.raises(ValueError):
         co.curvature_derivatives(jet, 1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        co.curvature_derivatives(jet, -1)
 
 
 def test_curvature_derivatives_above_size_cap_fail_at_once(monkeypatch):
@@ -229,6 +231,14 @@ def test_curvature_derivatives_above_size_cap_fail_at_once(monkeypatch):
     monkeypatch.setattr(co.PolySpace, "mul", slow_path)
     with pytest.raises(ValueError, match="MAX_SERIES_ENTRIES"):
         co.curvature_derivatives(jet, 2)
+
+
+def test_curvature_derivatives_size_cap_counts_the_degrees_used():
+    # 7^5 * |PolySpace(7, 3)| = 2.0e6 entries, although the jet has 792 monomials
+    mu = br.aloff_wallach_bracket(1, 2, 1.0, 2.0, 3.0, 0.5)
+    got = co.curvature_derivatives(co.metric_jet(mu, 5), 1)
+    want = co.curvature_derivatives(co.metric_jet(mu, 3), 1)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -334,6 +344,29 @@ def test_solvability_verdict_does_not_depend_on_scale(s):
     assert co.is_completely_solvable(br.milnor_bracket(s, s, s)) == "refuted"
     assert co.is_completely_solvable(br.milnor_bracket(s, 0.0, 0.0)) == "certified"
     assert co.is_completely_solvable(br.milnor_bracket(0.0, s, -s)) == "unknown"
+
+
+@pytest.mark.parametrize("mu", [br.milnor_bracket(1.0, 0.0, 0.0), br.milnor_bracket(1.0, 1.0, 1.0),
+                                br.milnor_bracket(1.0, 0.0, -1.0), br.milnor_bracket(1.0, 0.5, 0.5),
+                                abelian(3), br.random_member(0, 5, seed=1)],
+                         ids=["h3", "su2", "e11", "e2", "abelian", "random_q0_n5"])
+def test_injectivity_bound_reads_only_nilpotency(monkeypatch, mu):
+    certified = co.is_completely_solvable(mu) == "certified"
+
+    def refutation(*args):
+        raise AssertionError("injectivity_bound sampled ad(x) spectra")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refutation)
+    assert (co.injectivity_bound(mu).method == "completely_solvable") == certified
+
+
+def test_injectivity_bound_repr():
+    assert repr(co.injectivity_bound(br.milnor_bracket(1.0, 0.0, 0.0))) == \
+        "InjectivityBound(lower=inf, method='completely_solvable', heuristic=False)"
+    mu = br.circle_isotropy3(1.0, 0.0, 1.0, 1.0)
+    lower = math.pi / br.bracket_norm(mu)
+    assert repr(co.injectivity_bound(mu)) == \
+        f"InjectivityBound(lower={lower!r}, method='norm_bound', heuristic=True)"
 
 
 def test_injectivity_q_positive_is_heuristic():

@@ -153,3 +153,20 @@ def test_integer_product_equals_pair_loop(contraction, nvars, degree, seed):
     assert prod.shape == want.shape and prod.dtype == object
     assert all(type(v) is int for v in prod.ravel().tolist())
     assert np.array_equal(prod, want)
+
+
+def test_no_variables_is_refused():
+    with pytest.raises(ValueError, match="need nvars >= 1"):
+        PolySpace(0, 1)
+
+
+def test_evaluate_fraction_coefficients():
+    # 1/2 + 1/3 x - y^2 / 4 at an exact and at a float point
+    space = PolySpace(2, 2)
+    a = space.zeros(exact=True)
+    a[space.index[0, 0]] = Fraction(1, 2)
+    a[space.index[1, 0]] = Fraction(1, 3)
+    a[space.index[0, 2]] = Fraction(-1, 4)
+    exact = space.evaluate(a, (Fraction(3), Fraction(2, 5)))
+    assert type(exact) is Fraction and exact == Fraction(1, 2) + 1 - Fraction(1, 25)
+    assert space.evaluate(a, (3.0, 0.4)) == pytest.approx(1.5 - 0.04, rel=1e-15)
