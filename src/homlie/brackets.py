@@ -92,14 +92,6 @@ def _is_exact(values):
     return all(isinstance(v, _EXACT_TYPES) and not isinstance(v, bool) for v in values)
 
 
-def _zeros(shape, exact):
-    if exact:
-        arr = np.empty(shape, dtype=object)
-        arr[...] = Fraction(0)
-        return arr
-    return np.zeros(shape)
-
-
 class Bracket:
     """Antisymmetric bilinear map on R^(q+n), dense structure constants.
 
@@ -205,7 +197,7 @@ class Bracket:
             raise ValueError("structure constants must be finite")
         if not 2 * sum(v * v for v in values.values()) <= MAX_NORM_SQ:
             raise ValueError(_TOO_LARGE)
-        c = _zeros((dim, dim, dim), exact)
+        c = np.full((dim, dim, dim), Fraction(0), dtype=object if exact else float)
         for (i, j, k), v in values.items():
             c[i, j, k] = c[i, j, k] + v
             c[j, i, k] = c[j, i, k] - v
@@ -297,37 +289,28 @@ def check_membership(mu, tol=None):
     scale-free 1e-10 at the default tolerance), and (h2) as the
     tri-state derived from the family tag.  The bracket is accepted iff
     both residuals are <= tol, the kernel dimension is 0, and (h2) does
-    not fail.
+    not fail.  tol defaults to default_tolerance(mu); a given tol must be
+    finite and >= 0, or a ValueError names it.
     """
     if tol is None:
         tol = default_tolerance(mu)
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     q, n = mu.q, mu.n
     c = mu.float_c
     jac = float(np.max(np.abs(jacobiator(mu))))
-
-    # mu(R^q, R^q) subset R^q and mu(R^q, R^n) subset R^n
-    sub = 0.0
-    if q > 0:
-        sub = max(sub, float(np.max(np.abs(c[:q, :q, q:]))))
-        sub = max(sub, float(np.max(np.abs(c[:q, q:, :q]))))
-
-    # skewness of ad(z) on the tangent block
-    h3 = 0.0
-    if q > 0:
-        blocks = c[:q, q:, q:]                      # blocks[z, v, u] = <mu(e_z, e_v), e_u>
-        h3 = float(np.max(np.abs(blocks + np.swapaxes(blocks, 1, 2))))
-
-    # kernel of z |-> mu(z, R^n)
+    sub = h3 = 0.0
     h4_dim = 0
     if q > 0:
-        k = c[:q, q:, :].reshape(q, -1)
-        sv = np.linalg.svd(k, compute_uv=False)   # q >= 1 rows, so sv is not empty
-        smax = sv[0]
-        if smax == 0.0:
-            h4_dim = q
-        else:
-            h4_dim = int(np.sum(sv <= tol / (1.0 + float(np.sum(c * c))) * smax))
-
+        # mu(R^q, R^q) subset R^q and mu(R^q, R^n) subset R^n
+        sub = max(float(np.max(np.abs(c[:q, :q, q:]))), float(np.max(np.abs(c[:q, q:, :q]))))
+        # skewness of ad(z) on the tangent block, blocks[z, v, u] = <mu(e_z, e_v), e_u>
+        blocks = c[:q, q:, q:]
+        h3 = float(np.max(np.abs(blocks + np.swapaxes(blocks, 1, 2))))
+        # kernel of z |-> mu(z, R^n); q >= 1 rows, so sv is not empty
+        sv = np.linalg.svd(c[:q, q:, :].reshape(q, -1), compute_uv=False)
+        h4_dim = q if sv[0] == 0.0 else int(
+            np.sum(sv <= tol / (1.0 + float(np.sum(c * c))) * sv[0]))
     return MembershipReport(q, n, float(tol), jac, sub, _h2_status(mu), h3, h4_dim)
 
 
@@ -370,35 +353,34 @@ def check_equivariant_conditions(h, mu):
     * cond_a : h_n^T h_n commutes with every ad(z)|_{R^n}, z in R^q;
     * cond_b : A ad(z)|_{R^n} = h_q ad(z)|_{R^q} h_q^-1 A for all z.
 
-    Both, and the zero lower-left block, are tested entry-wise against
-    default_tolerance(mu).  Raises ValueError if the lower-left block of
-    h is nonzero.
+    Each condition is one max-abs residual over all z, compared once with
+    default_tolerance(mu).  Raises ValueError when h has the wrong shape
+    or an entry that is not finite, when its lower-left block (R^q into
+    R^n) exceeds that tolerance, or when h_q is numerically singular
+    (condition number above 1e12, as in gl_action).
     """
     tol = default_tolerance(mu)
-    q, n = mu.q, mu.n
+    q = mu.q
     h = np.asarray(h, float)
     if h.shape != (mu.dim, mu.dim):
         raise ValueError("h has wrong shape")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h must be finite")
     if q == 0:
         return True, True
     if np.max(np.abs(h[q:, :q])) > tol:
         raise ValueError("h is not block upper-triangular for the splitting")
-    hq = h[:q, :q]
-    a = h[:q, q:]
-    hn = h[q:, q:]
+    hq, a, hn = h[:q, :q], h[:q, q:], h[q:, q:]
+    cond = np.linalg.cond(hq)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ValueError(f"h_q is numerically singular (condition number {cond:.3e})")
     c = mu.float_c
     g = hn.T @ hn
-    hq_inv = np.linalg.inv(hq)
-    cond_a = True
-    cond_b = True
-    for z in range(q):
-        m = c[z, q:, q:].T          # ad(e_z) on the tangent block
-        if np.max(np.abs(g @ m - m @ g)) > tol:
-            cond_a = False
-        mq = c[z, :q, :q].T         # ad(e_z) on the isotropy block
-        if np.max(np.abs(a @ m - hq @ mq @ hq_inv @ a)) > tol:
-            cond_b = False
-    return cond_a, cond_b
+    ad_n = np.swapaxes(c[:q, q:, q:], 1, 2)     # ad_n[z] = ad(e_z) on the tangent block
+    ad_q = np.swapaxes(c[:q, :q, :q], 1, 2)     # ad_q[z] = ad(e_z) on the isotropy block
+    res_a = np.max(np.abs(g @ ad_n - ad_n @ g))
+    res_b = np.max(np.abs(a @ ad_n - hq @ ad_q @ np.linalg.inv(hq) @ a))
+    return bool(res_a <= tol), bool(res_b <= tol)
 
 
 def flat_degeneration(mu):
@@ -413,10 +395,7 @@ def flat_degeneration(mu):
     require_member(mu)
     q = mu.q
     c = np.array(mu.c, dtype=mu.c.dtype)
-    if mu.exact:
-        c[q:, q:, :] = Fraction(0)
-    else:
-        c[q:, q:, :] = 0.0
+    c[q:, q:, :] = Fraction(0)                  # a float array stores it as 0.0
     return Bracket(mu.q, mu.n, c, family="flat")
 
 
@@ -598,34 +577,22 @@ def _random_orthogonal(dim, rng):
 
 
 def _random_member_q0(n, rng):
-    if n == 2:
-        kind = 0
-    elif n == 3:
-        kind = int(rng.integers(0, 3))
-    else:
-        kind = int(rng.integers(0, 2))
+    # n = 3 draws one of three kinds, of which 0 and 2 are both almost
+    # abelian; the draw stays so that every seed gives the brackets it gave
+    kind = 0 if n == 2 else int(rng.integers(0, 3 if n == 3 else 2))
     c = np.zeros((n, n, n))
-    if kind == 0:
-        # almost abelian: only ad(e_0) acts, on span(e_1..e_{n-1}); Jacobi
-        # holds for an arbitrary matrix there.
-        m = rng.standard_normal((n - 1, n - 1))
-        for v in range(1, n):
-            for u in range(1, n):
-                c[0, v, u] = m[u - 1, v - 1]
-                c[v, 0, u] = -m[u - 1, v - 1]
-    elif kind == 1:
+    if kind == 1:
         # diagonal 3-dimensional block, abelian complement
         a, b, cc = rng.standard_normal(3)
         c[1, 2, 0], c[2, 1, 0] = a, -a
         c[2, 0, 1], c[0, 2, 1] = b, -b
         c[0, 1, 2], c[1, 0, 2] = cc, -cc
     else:
-        # solvable non-unimodular on R^3: ad(e_0) arbitrary on span(e_1, e_2)
-        m = rng.standard_normal((2, 2))
-        for v in (1, 2):
-            for u in (1, 2):
-                c[0, v, u] = m[u - 1, v - 1]
-                c[v, 0, u] = -m[u - 1, v - 1]
+        # almost abelian: only ad(e_0) = m acts, on span(e_1..e_{n-1});
+        # Jacobi holds for an arbitrary matrix there.
+        m = rng.standard_normal((n - 1, n - 1))
+        c[0, 1:, 1:] = m.T
+        c[1:, 0, 1:] = -m.T
     mu = Bracket(0, n, c)
     h = _random_orthogonal(n, rng) * float(rng.uniform(0.5, 1.5))
     return gl_action(h, mu)

@@ -323,13 +323,18 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
     with the limit bracket: structure-constant distance (when the
     ambient dimensions agree), membership verdicts, Ricci power traces
     f_1..f_3 with gaps against the limit, injectivity lower bounds,
-    and topology flags against limit_pair when integer pairs are
-    supplied.  Returns a list of plain dicts, one per member.  Raises
-    ValueError for an empty sequence and for a family or parameter tuple
-    that family_member refuses, or for an f_k or gap beyond the float range.
+    and topology flags of topology_pairs (one integer pair per tuple)
+    against limit_pair; these two come together or not at all.  Returns
+    a list of plain dicts, one per member.  Raises ValueError for an
+    empty sequence, for topology_pairs without limit_pair or the reverse,
+    for a family or parameter tuple that family_member refuses, or for
+    an f_k or gap beyond the float range.
     """
     if not params_seq:
         raise ValueError("no parameter tuples to tabulate")
+    if (topology_pairs is None) != (limit_pair is None):
+        raise ValueError("topology_pairs (--pairs) and limit_pair (--limit-pair) "
+                         "go together: give both or neither")
     members = [family_member(family, params) for params in params_seq]
     if topology_pairs is not None and len(topology_pairs) != len(params_seq):
         raise ValueError(f"{len(topology_pairs)} topology pairs for "
@@ -356,7 +361,7 @@ def sequence_diagnostics(family, params_seq, limit, topology_pairs=None,
         bound = injectivity_bound(mu)
         row["inj_lower"] = bound.lower
         row["inj_heuristic"] = bound.heuristic
-        if topology_pairs is not None and limit_pair is not None:
+        if topology_pairs is not None:
             pq = topology_pairs[idx]
             rep_aw = aw_equivalence(pq[0], pq[1], limit_pair[0], limit_pair[1])
             row["homotopy_equivalent_to_limit"] = rep_aw.homotopy_equivalent

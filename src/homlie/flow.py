@@ -23,6 +23,7 @@ Ricci eigenvalues and soliton residual from its state's evaluation.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -155,10 +156,23 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     blow-up is declared when the bracket norm exceeds blow_up, for a
     plain flow that starts above it before the first step.  Every
     record_stride-th accepted step is recorded, plus the initial state
-    and, once, the state the run ends at, whatever its status.
+    and, once, the state the run ends at, whatever its status.  A step
+    whose stages leave the float range is rejected like any step with too
+    large an error.
+
+    t_end must be finite and > 0, rtol finite and >= 0, atol finite and
+    > 0 (a constant that stays 0 has no relative scale), and record_stride
+    >= 1; a ValueError names the argument that is not.  A start whose
+    right-hand side is not finite raises ValueError too.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    if not (math.isfinite(rtol) and rtol >= 0):
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+    if not (math.isfinite(atol) and atol > 0):
+        raise ValueError(f"atol must be finite and > 0, got {atol!r}")
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {record_stride!r}")
     require_member(mu0)
     q, n = mu0.q, mu0.n
     shape = (mu0.dim,) * 3
@@ -192,6 +206,8 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
 
     t = 0.0
     ric, fy = f(y)
+    if not np.all(np.isfinite(fy)):     # no step from here can be finite
+        raise ValueError("structure constants must be finite")
     samples = [sample(0.0, y, ric, _residual(y, fy))]
     scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
     dt = min(min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01, t_end)
@@ -199,44 +215,47 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     status = "max_steps"
     k = np.empty((7, y.size))
 
-    while steps < max_steps:
-        steps += 1
-        k[0] = fy
-        for s in range(1, 7):
-            y_new = y + dt * (BUTCHER_A[s, :s] @ k[:s])
-            ric_new, k[s] = f(y_new)
-        err = dt * (ERROR_COEFFS @ k)
-        tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = np.sqrt(np.mean((err / tol) ** 2))
-        if not np.isfinite(err_norm):  # a non-finite stage; a larger dt would not end it
-            raise ValueError("structure constants must be finite")
+    # a step too long for the float range overflows in a stage; its error
+    # norm is then infinite, so the step is rejected and dt shrinks
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < max_steps:
+            steps += 1
+            k[0] = fy
+            for s in range(1, 7):
+                y_new = y + dt * (BUTCHER_A[s, :s] @ k[:s])
+                ric_new, k[s] = f(y_new)
+            err = dt * (ERROR_COEFFS @ k)
+            tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = np.sqrt(np.mean((err / tol) ** 2))
+            if not np.isfinite(err_norm):   # a stage left the float range
+                err_norm = np.inf
 
-        if err_norm <= 1.0:
-            t += dt
-            y = y_new
-            if normalized:
-                nrm = np.linalg.norm(y)
-                y, scale = y / nrm, scale / nrm
-                ric, fy = f(y)
-            else:
-                ric, fy = ric_new, k[6].copy()    # first same as last; k is overwritten next
-            accepted += 1
-            if np.linalg.norm(y) > blow_up:
-                status = "blow_up_detected"
-                break
-            if t >= t_end - 1e-12 * max(1.0, t_end):
-                status = "completed"
-                break
-            if accepted % record_stride == 0:
-                samples.append(sample(t, y, ric, _residual(y, fy)))
+            if err_norm <= 1.0:
+                t += dt
+                y = y_new
+                if normalized:
+                    nrm = np.linalg.norm(y)
+                    y, scale = y / nrm, scale / nrm
+                    ric, fy = f(y)
+                else:
+                    ric, fy = ric_new, k[6].copy()    # first same as last; k is overwritten next
+                accepted += 1
+                if np.linalg.norm(y) > blow_up:
+                    status = "blow_up_detected"
+                    break
+                if t >= t_end - 1e-12 * max(1.0, t_end):
+                    status = "completed"
+                    break
+                if accepted % record_stride == 0:
+                    samples.append(sample(t, y, ric, _residual(y, fy)))
 
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-        dt = dt * min(5.0, max(0.2, factor))
-        if t + dt > t_end:
-            dt = t_end - t
-        if dt < 1e-14 * max(1.0, abs(t)):
-            status = "step_underflow"
-            break
+            factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+            dt = dt * min(5.0, max(0.2, factor))
+            if t + dt > t_end:
+                dt = t_end - t
+            if dt < 1e-14 * max(1.0, abs(t)):
+                status = "step_underflow"
+                break
 
     # the final state, once, whatever ended the run
     if samples[-1].t < t:

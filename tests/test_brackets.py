@@ -470,6 +470,66 @@ def test_equivariant_conditions_edge_cases():
     assert br.check_equivariant_conditions(h, mu) == (True, False)
 
 
+_CIRCLE3 = br.circle_isotropy3(1.0, 0.5, 1.0, 2.0)
+# q = 2: e_1 joins the isotropy, and ad(e_1) acts on R^q as well
+_CIRCLE5_Q2 = br.resplit(br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0), 2)
+
+
+@pytest.mark.parametrize("mu, entry, value, message", [
+    (_CIRCLE3, (0, 0), math.nan, "h must be finite"),
+    (_CIRCLE3, (2, 3), math.inf, "h must be finite"),
+    (_CIRCLE3, (0, 0), 0.0, "h_q is numerically singular"),
+    (_CIRCLE5_Q2, (1, 1), 1e-13, r"h_q is numerically singular \(condition number 1.000e\+13\)"),
+], ids=["nan", "inf", "singular", "ill_conditioned"])
+def test_equivariant_conditions_refuse_a_bad_h_by_name(mu, entry, value, message):
+    h = np.eye(mu.dim)
+    h[entry] = value
+    with pytest.raises(ValueError, match=message):
+        br.check_equivariant_conditions(h, mu)
+
+
+def _equivariant_conditions_per_z(h, mu):
+    # one z at a time, as the two conditions are stated
+    q, c, tol = mu.q, mu.float_c, br.default_tolerance(mu)
+    hq, a, hn = h[:q, :q], h[:q, q:], h[q:, q:]
+    g = hn.T @ hn
+    cond_a = cond_b = True
+    for z in range(q):
+        m, mq = c[z, q:, q:].T, c[z, :q, :q].T
+        cond_a &= bool(np.max(np.abs(g @ m - m @ g)) <= tol)
+        cond_b &= bool(np.max(np.abs(a @ m - hq @ mq @ np.linalg.inv(hq) @ a)) <= tol)
+    return cond_a, cond_b
+
+
+def test_equivariant_conditions_equal_the_per_z_statement():
+    rng = np.random.default_rng(3)
+    circle5 = br.circle_isotropy5(1.0, 2.0, 1.0, 2.0, 1.0, -1.0, 1.0, -1.0)
+    cases = [(circle5, np.diag([0.7, 1.3, 0.5, 0.5, 2.0, 2.0])),
+             (circle5, np.diag([0.7, 1.3, 0.5, 0.6, 2.0, 2.0]))]
+    for mu in (_CIRCLE5_Q2, _CIRCLE3, br.random_member(1, 3, seed=4)):
+        q = mu.q
+        for upper in (np.zeros((q, mu.n)), rng.standard_normal((q, mu.n))):
+            h = np.eye(mu.dim)
+            h[:q, q:] = upper
+            h[:q, :q] = np.eye(q) + 0.3 * np.triu(rng.standard_normal((q, q)))
+            cases.append((mu, h))
+            h = h.copy()
+            h[q:, q:] += 0.3 * rng.standard_normal((mu.n, mu.n))
+            cases.append((mu, h))
+    verdicts = set()
+    for mu, h in cases:
+        verdict = br.check_equivariant_conditions(h, mu)
+        assert verdict == _equivariant_conditions_per_z(h, mu)
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_check_membership_refuses_a_bad_tol_by_name(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        br.check_membership(br.milnor_bracket(1.0, 1.0, 1.0), tol=tol)
+
+
 def test_flat_degeneration_of_an_exact_bracket_stays_exact():
     mu = br.circle_isotropy3(1, 2, 3, Fraction(1, 2))
     lam = br.flat_degeneration(mu)

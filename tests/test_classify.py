@@ -265,6 +265,15 @@ def test_sequence_diagnostics_topology_columns():
         assert row["homeomorphic_to_limit"] is False
 
 
+@pytest.mark.parametrize("options", [dict(topology_pairs=[(1, 2)]), dict(limit_pair=(1, 1))],
+                         ids=["pairs_only", "limit_pair_only"])
+def test_sequence_diagnostics_topology_options_go_together(options):
+    limit = br.aloff_wallach_bracket(1, 1, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"topology_pairs \(--pairs\) and limit_pair "
+                                         r"\(--limit-pair\) go together"):
+        cl.sequence_diagnostics("aloff_wallach", [(1, 2, 1.0, 1.0, 1.0, 1.0)], limit, **options)
+
+
 def test_sequence_diagnostics_dimension_mismatch_distance():
     rows = cl.sequence_diagnostics(
         "milnor", [(1.0, 1.0, 1.0)], br.circle_isotropy3(1, 1, 1, 1))

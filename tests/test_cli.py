@@ -534,6 +534,17 @@ _LONG_FRACTION = "1/1" + "0" * 1500
      "MAX_EXACT_DIGITS"),
     (["sequence", "milnor", "--params-list", ";", "--limit", "H3"], "no parameter tuples"),
     (["family", "aloff_wallach", "--params", "1/3,1,1,1,1,1e308"], "entries too large"),
+    (["flow", "H3", "--t-end", "0.5", "--stride", "0"], "record_stride must be >= 1, got 0"),
+    (["flow", "H3", "--t-end", "nan"], "t_end must be finite and > 0, got nan"),
+    (["flow", "H3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
+    (["flow", "H3", "--t-end", "0.5", "--rtol", "nan"], "rtol must be finite and >= 0, got nan"),
+    (["flow", "H3", "--t-end", "0.5", "--rtol=-1e-9"], "rtol must be finite and >= 0, got -1e-09"),
+    (["check", "H3", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["check", "H3", "--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3", "--pairs", "1:2"],
+     "topology_pairs (--pairs) and limit_pair (--limit-pair) go together"),
+    (["sequence", "milnor", "--params-list", "1,1,1", "--limit", "H3", "--limit-pair", "1:1"],
+     "topology_pairs (--pairs) and limit_pair (--limit-pair) go together"),
 ], ids=["zero_denominator", "sequence_zero_denominator", "too_few_params",
         "pair_count", "short_limit_pair", "short_pair", "resume_header", "resume_short_row",
         "resume_oversized", "resume_field_above_csv_limit", "family_huge_integer",
@@ -543,7 +554,9 @@ _LONG_FRACTION = "1/1" + "0" * 1500
         "family_overflowing_norm", "sequence_overflowing_norm",
         "circle5_extra_param", "aloff_wallach_extra_param", "family_output_overflowing_norm",
         "family_output_long_denominator", "sequence_without_params",
-        "aloff_wallach_overflowing_metric"])
+        "aloff_wallach_overflowing_metric", "flow_stride_0", "flow_t_end_nan", "flow_t_end_inf",
+        "flow_rtol_nan", "flow_rtol_negative", "check_tol_nan", "check_tol_inf",
+        "sequence_pairs_without_limit_pair", "sequence_limit_pair_without_pairs"])
 def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_path, capsys):
     (tmp_path / "no_n.csv").write_text("# q=0 x=3\nt,norm\n0.0,1.0\n")
     # q + n above brackets.MAX_DIM is refused before anything is allocated
@@ -869,6 +882,36 @@ def test_fuzzed_family_parameters_exit_cleanly(capsys, h3_file, name, params, ir
     _assert_clean_exit(code, capsys.readouterr().err)
     code = main(["sequence", name, f"--params-list={';'.join(params)}", "--limit", h3_file])
     _assert_clean_exit(code, capsys.readouterr().err)
+
+
+# option values as typed: zero, negative, huge, NaN, inf and values near the
+# defaults; the int options get integers, which argparse reads, so every
+# value reaches the library.  Orders 5-12 and jet degrees 5-24 are admitted
+# and skipped here: fingerprint order 12 alone takes seconds and a gigabyte.
+_float_options = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-12, 2.0).map(repr),
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "5e-324"]))
+_int_options = st.one_of(st.integers(-3, 4), st.integers(25, 10**30)).map(str)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t_end=_float_options, rtol=_float_options, stride=_int_options,
+       max_steps=_int_options, tol=_float_options, order=_int_options)
+@example(t_end="0.5", rtol="1e-9", stride="0", max_steps="100", tol="nan", order="0")
+@example(t_end="2.0", rtol="1e300", stride="1", max_steps="100000", tol="inf", order="-1")
+def test_fuzzed_numeric_options_exit_cleanly(su2_file, capsys, t_end, rtol, stride, max_steps,
+                                             tol, order):
+    # su(2) blows up before t = 1, so every flow ends quickly
+    for argv in (["flow", su2_file, f"--t-end={t_end}", f"--rtol={rtol}", f"--stride={stride}",
+                  f"--max-steps={max_steps}"],
+                 ["check", su2_file, f"--tol={tol}"],
+                 ["invariants", su2_file, f"--order={order}"],
+                 ["distance", su2_file, su2_file, f"--order={order}"],
+                 ["jet", su2_file, f"--degree={order}"]):
+        code = main(argv)
+        _assert_clean_exit(code, capsys.readouterr().err)
 
 
 _ARITY = {"milnor": 3, "circle3": 4, "circle5": 8, "aloff_wallach": 6}

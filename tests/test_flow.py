@@ -377,11 +377,44 @@ def test_plain_run_makes_one_contraction_per_stage(monkeypatch, mu, t_end, optio
 
 
 def test_non_finite_stage_raises_at_once():
-    # the first right-hand side overflows; without the check a NaN error
-    # norm would grow dt fivefold on every rejection until max_steps
+    # the first right-hand side overflows, so no step from the start can be
+    # finite; rejecting them would shrink dt until step_underflow
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="^structure constants must be finite$"):
             fl.integrate(br.milnor_bracket(1e140, 2e140, 3e140), 1.0, blow_up=math.inf)
         for s in (1e60, 1e100):
             traj = fl.integrate(br.milnor_bracket(s, 2 * s, 3 * s), 1.0, blow_up=math.inf)
             assert traj.status == "step_underflow" and len(traj.samples) == 2
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(t_end=0.0), "t_end must be finite and > 0, got 0.0"),
+    (dict(t_end=-1.0), "t_end must be finite and > 0"),
+    (dict(t_end=math.nan), "t_end must be finite and > 0, got nan"),
+    (dict(t_end=math.inf), "t_end must be finite and > 0, got inf"),
+    (dict(rtol=math.nan), "rtol must be finite and >= 0, got nan"),
+    (dict(rtol=math.inf), "rtol must be finite and >= 0"),
+    (dict(rtol=-1e-9), "rtol must be finite and >= 0"),
+    (dict(atol=0.0), "atol must be finite and > 0, got 0.0"),
+    (dict(rtol=0.0, atol=0.0), "atol must be finite and > 0"),
+    (dict(atol=math.nan), "atol must be finite and > 0"),
+    (dict(atol=-1e-12), "atol must be finite and > 0"),
+    (dict(record_stride=0), "record_stride must be >= 1, got 0"),
+    (dict(record_stride=-3), "record_stride must be >= 1"),
+], ids=["t_end_0", "t_end_negative", "t_end_nan", "t_end_inf", "rtol_nan", "rtol_inf",
+        "rtol_negative", "atol_0", "rtol_and_atol_0", "atol_nan", "atol_negative", "stride_0",
+        "stride_negative"])
+def test_integrate_refuses_bad_numeric_arguments_by_name(options, message):
+    args = dict(t_end=0.5) | options
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fl.integrate(br.milnor_bracket(1.0, 1.0, 1.0), **args)
+
+
+@pytest.mark.parametrize("rtol", [0.1, 1.0, 1e300])
+def test_loose_rtol_rejects_steps_that_leave_the_float_range(rtol):
+    # su(2) blows up before t = 1; a loose rtol lets dt grow until a stage
+    # overflows, and that step is rejected instead of raising
+    traj = fl.integrate(br.milnor_bracket(1.0, 1.0, 1.0), 2.0, rtol=rtol)
+    assert traj.status in ("blow_up_detected", "step_underflow")
+    assert all(np.isfinite(s.bracket.c).all() for s in traj.samples)
+    assert traj.times()[-1] > 0.0
