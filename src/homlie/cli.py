@@ -29,36 +29,20 @@ def _fail(message, code=1):
     return code
 
 
-@contextlib.contextmanager
 def _output(path):
     """The file path opened for writing, or stdout when path is empty."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", newline="") as out:
-        yield out
-
-
-def _fmt(v):
-    """One CSV cell: floats by repr, Fractions p/q, tuples by element, None empty."""
-    if type(v) is float:
-        return repr(v)
-    if v is None:
-        return ""
-    if isinstance(v, tuple):
-        return "(" + ", ".join(map(_fmt, v)) + ")"
-    if isinstance(v, np.floating):
-        return repr(float(v))
-    return str(v)
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _write_rows(path, header, rows, preamble=""):
-    """preamble, then header and rows as CSV cells by _fmt, to path or stdout."""
+    """preamble, then header and rows to path or stdout; the csv module writes
+    a float by repr, None as an empty cell and any other value by str: p/q for
+    a Fraction.  Only sequence's params tuple is formatted before it gets here."""
     with _output(path) as out:
         out.write(preamble)
         w = csv.writer(out)
         w.writerow(header)
-        w.writerows(map(_fmt, row) for row in rows)
+        w.writerows(rows)
 
 
 def _write_json(path, doc):
@@ -94,9 +78,9 @@ def cmd_curvature(args):
     data = cu.curvature_data(mu)
     print("ricci endomorphism:")
     for row in data.ricci:
-        print("  " + " ".join(map(_fmt, row)))
-    print("ricci eigenvalues (descending): " + " ".join(map(_fmt, data.ricci_eigenvalues)))
-    print("scalar invariants f_k: " + " ".join(map(_fmt, data.invariants)))
+        print("  " + " ".join(map(repr, row.tolist())))
+    print("ricci eigenvalues (descending): " + " ".join(map(repr, data.ricci_eigenvalues.tolist())))
+    print("scalar invariants f_k: " + " ".join(map(repr, data.invariants)))
     if args.output:
         _write_json(args.output, data.to_dict())
     return 0
@@ -106,7 +90,7 @@ def cmd_invariants(args):
     mu = br.read_bracket(args.bracket)
     invariants, fp = cu.scalar_invariants(mu), cu.fingerprint(mu, args.order)  # f_k named first
     norms_sq = fp.norms_sq()
-    print("scalar invariants f_k: " + " ".join(map(_fmt, invariants)))
+    print("scalar invariants f_k: " + " ".join(map(repr, invariants)))
     for k, norm_sq in enumerate(norms_sq):
         print(f"|nabla^{k} Riem|^2 : {norm_sq!r}")
     if args.output:
@@ -245,6 +229,8 @@ def cmd_sequence(args):
     rows = cl.sequence_diagnostics(args.family, params_seq, limit,
                                    topology_pairs=pairs, limit_pair=limit_pair)
     keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "index", k))
+    for row in rows:
+        row["params"] = "(" + ", ".join(map(str, row["params"])) + ")"
     _write_rows(args.output, keys, ([row.get(k) for k in keys] for row in rows))
     return 0
 

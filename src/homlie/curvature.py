@@ -105,7 +105,8 @@ def _riemann(c, q):
     """(Riem, D) from structure constants c, in the arithmetic of c."""
     ct = c[q:, q:, q:]
     d = _koszul(ct)
-    comm = np.einsum("iab,jbc->ijac", d, d) - np.einsum("jab,ibc->ijac", d, d)
+    dd = np.einsum("iab,jbc->ijac", d, d)
+    comm = dd - dd.transpose(1, 0, 2, 3)                # [D_i, D_j]
     mp = np.einsum("ijr,rac->ijac", ct, d)
     rop = comm - mp
     if q > 0:

@@ -65,11 +65,20 @@ def _rhs(c, q, ric):
     return rhs
 
 
-def _residual(c, rhs):
-    """||rhs - (<rhs, c> / ||c||^2) c|| / ||c||^3; 0.0 on the zero bracket."""
+def _residual(c, q, rhs=None):
+    """||rhs - (<rhs, c> / ||c||^2) c|| / ||c||^3, rhs the right-hand side at c.
+
+    c holds the constants as a (dim, dim, dim) array; 0.0 on the zero
+    bracket.  The value is scale-free and rhs cubic in c, so without rhs,
+    or below ||c||^2 = 1e-190 where rhs has underflowed, it is taken at
+    unit norm.
+    """
     nrm2 = float(np.sum(c * c))
     if nrm2 == 0.0:
         return 0.0
+    if rhs is None or nrm2 < 1e-190:
+        c = c / np.linalg.norm(c)
+        rhs, nrm2 = _rhs(c, q, ricci_contraction(c, q)), float(np.sum(c * c))
     res = rhs - (float(np.sum(rhs * c)) / nrm2) * c
     # past nrm2 ~ 3e205 a numpy power gives inf where a float one raises OverflowError
     return float(np.sqrt(np.sum(res * res)) / np.float64(nrm2) ** 1.5)
@@ -97,7 +106,7 @@ def soliton_residual(mu):
     c = mu.float_c
     if float(np.sum(c * c)) == 0.0:
         raise ValueError("soliton residual is undefined for the zero bracket")
-    return _residual(c, _rhs(c, mu.q, ricci_operator(mu)))
+    return _residual(c, mu.q, _rhs(c, mu.q, ricci_operator(mu)))
 
 
 @dataclasses.dataclass(eq=False, repr=False, slots=True)
@@ -161,9 +170,9 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     large an error.
 
     t_end must be finite and > 0, rtol finite and >= 0, atol finite and
-    > 0 (a constant that stays 0 has no relative scale), and record_stride
-    >= 1; a ValueError names the argument that is not.  A start whose
-    right-hand side is not finite raises ValueError too.
+    > 0 (a constant that stays 0 has no relative scale), and max_steps
+    and record_stride >= 1; a ValueError names the argument that is not.
+    A start whose right-hand side is not finite raises ValueError too.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -171,6 +180,8 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     if not (math.isfinite(atol) and atol > 0):
         raise ValueError(f"atol must be finite and > 0, got {atol!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride!r}")
     require_member(mu0)
@@ -192,23 +203,23 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
         y = y / nrm
         scale = 1.0 / nrm
 
-    def sample(t, y, ric, residual):
-        return FlowSample(t, Bracket(q, n, y.reshape(shape)), float(np.linalg.norm(y)),
-                          ricci_spectrum(ric), scale, residual)
+    def sample(t, y, ric, fy=None):
+        c = y.reshape(shape)
+        return FlowSample(t, Bracket(q, n, c), float(np.linalg.norm(y)), ricci_spectrum(ric),
+                          scale, _residual(c, q, None if fy is None else fy.reshape(shape)))
 
     if not normalized and np.linalg.norm(y) > blow_up:
         # blown up before the first step, where the right-hand side, cubic
-        # in mu, can overflow; the residual is scale-free, so it is taken
-        # at unit norm (one right-hand side and one sample, as a start)
-        u = y / np.linalg.norm(y)
-        return FlowTrajectory("blow_up_detected", [sample(
-            0.0, y, ricci_contraction(y.reshape(shape), q), _residual(u, f(u)[1]))], q, n)
+        # in mu, can overflow: the residual is taken at unit norm (one
+        # right-hand side and one sample, as a start)
+        return FlowTrajectory("blow_up_detected", [
+            sample(0.0, y, ricci_contraction(y.reshape(shape), q))], q, n)
 
     t = 0.0
     ric, fy = f(y)
     if not np.all(np.isfinite(fy)):     # no step from here can be finite
         raise ValueError("structure constants must be finite")
-    samples = [sample(0.0, y, ric, _residual(y, fy))]
+    samples = [sample(0.0, y, ric, fy)]
     scale0 = np.linalg.norm(fy) / (1.0 + np.linalg.norm(y))
     dt = min(min(0.01, 0.1 / scale0) if scale0 > 0 else 0.01, t_end)
     steps = accepted = 0
@@ -247,7 +258,7 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
                     status = "completed"
                     break
                 if accepted % record_stride == 0:
-                    samples.append(sample(t, y, ric, _residual(y, fy)))
+                    samples.append(sample(t, y, ric, fy))
 
             factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
             dt = dt * min(5.0, max(0.2, factor))
@@ -259,5 +270,5 @@ def integrate(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
 
     # the final state, once, whatever ended the run
     if samples[-1].t < t:
-        samples.append(sample(t, y, ric, _residual(y, fy)))
+        samples.append(sample(t, y, ric, fy))
     return FlowTrajectory(status, samples, q, n)

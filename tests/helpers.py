@@ -196,7 +196,8 @@ def reference_flow(mu0, t_end, normalized=False, rtol=1e-9, atol=1e-12,
     def sample(t, y, scale, fy):
         mu = Bracket(q, n, y.reshape(shape))
         eigs = np.sort(np.linalg.eigvalsh(ricci_operator(mu)))[::-1]
-        return (t, mu.c, float(np.linalg.norm(y)), eigs, scale, _residual(y, fy))
+        return (t, mu.c, float(np.linalg.norm(y)), eigs, scale,
+                _residual(mu.c, q, fy.reshape(shape)))
 
     y = mu0.as_float().ravel()
     scale = 1.0

@@ -483,6 +483,23 @@ def test_sequence_params_cells(h3_file, capsys):
     assert [r[col] for r in rows[1:]] == ["(1, 1, 1)", "(1/2, 1, 3/2)", "(1.0, 0.5, 0.25)"]
 
 
+def test_sequence_cells_of_every_kind(tmp_path, capsys):
+    # the circle3 limit has q = 1, so no bracket_distance cell; the
+    # nilpotent member (1, 0, 0) has an infinite injectivity bound
+    limit = tmp_path / "c3.json"
+    br.write_bracket(limit, br.circle_isotropy3(0.0, -1.0, 1.0, 1.0))
+    assert main(["sequence", "milnor", "--params-list", "1,0,0;1/2,1,3/2",
+                 "--limit", str(limit)]) == 0
+    inj = co.injectivity_bound(br.milnor_bracket(Fraction(1, 2), 1, Fraction(3, 2))).lower
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "index,bracket_distance,f1,f2,f3,gap1,gap2,gap3,h2_status,inj_heuristic,inj_lower,"
+        "member,params",
+        '0,,-0.5,0.75,-0.125,1.5,1.25,1.875,holds,False,inf,True,"(1, 0, 0)"',
+        f'1,,1.0,1.0,1.0,3.0,1.0,3.0,holds,False,{inj!r},True,"(1/2, 1, 3/2)"']
+    assert float(next(csv.reader(lines[2:]))[10]) == inj
+
+
 def _short_last_row(path):
     rows = ["t,norm,soliton_residual,ric_1,ric_2,ric_3,c_0_1_0,c_0_1_1,c_0_1_2,"
             "c_0_2_0,c_0_2_1,c_0_2_2,c_1_2_0,c_1_2_1,c_1_2_2",
@@ -535,6 +552,8 @@ _LONG_FRACTION = "1/1" + "0" * 1500
     (["sequence", "milnor", "--params-list", ";", "--limit", "H3"], "no parameter tuples"),
     (["family", "aloff_wallach", "--params", "1/3,1,1,1,1,1e308"], "entries too large"),
     (["flow", "H3", "--t-end", "0.5", "--stride", "0"], "record_stride must be >= 1, got 0"),
+    (["flow", "H3", "--t-end", "0.5", "--max-steps", "0"], "max_steps must be >= 1, got 0"),
+    (["flow", "H3", "--t-end", "0.5", "--max-steps=-5"], "max_steps must be >= 1, got -5"),
     (["flow", "H3", "--t-end", "nan"], "t_end must be finite and > 0, got nan"),
     (["flow", "H3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
     (["flow", "H3", "--t-end", "0.5", "--rtol", "nan"], "rtol must be finite and >= 0, got nan"),
@@ -554,7 +573,8 @@ _LONG_FRACTION = "1/1" + "0" * 1500
         "family_overflowing_norm", "sequence_overflowing_norm",
         "circle5_extra_param", "aloff_wallach_extra_param", "family_output_overflowing_norm",
         "family_output_long_denominator", "sequence_without_params",
-        "aloff_wallach_overflowing_metric", "flow_stride_0", "flow_t_end_nan", "flow_t_end_inf",
+        "aloff_wallach_overflowing_metric", "flow_stride_0", "flow_max_steps_0",
+        "flow_max_steps_negative", "flow_t_end_nan", "flow_t_end_inf",
         "flow_rtol_nan", "flow_rtol_negative", "check_tol_nan", "check_tol_inf",
         "sequence_pairs_without_limit_pair", "sequence_limit_pair_without_pairs"])
 def test_malformed_input_exits_1_without_traceback(argv, message, h3_file, tmp_path, capsys):
@@ -827,6 +847,8 @@ _documents = st.one_of(
 @example(doc='{"q": 0, "n": 3, "entries": [[1, 2, 0, 0.0], [0, 2, 1, 0.0], [0, 1, 2, 1e140]]}')
 # su(2) at 1e140: f_2 and |Riem|^2 leave the float range
 @example(doc='{"q": 0, "n": 3, "entries": [[1, 2, 0, 1e140], [0, 2, 1, -1e140], [0, 1, 2, 1e140]]}')
+# ||mu||^3 underflows: the flow residual is taken at unit norm
+@example(doc='{"q": 0, "n": 3, "entries": [[0, 1, 2, 3.7807420145360457e-143]]}')
 def test_fuzzed_bracket_files_exit_cleanly(tmp_path, capsys, doc):
     path = tmp_path / "mu.json"
     path.write_text(doc)

@@ -89,6 +89,17 @@ def test_rhs_is_cubic_and_residual_scale_free():
         fl.soliton_residual(mu), rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-100, 4e-143, 1e-160])
+def test_residual_of_a_tiny_bracket_is_taken_at_unit_norm(s):
+    # ||mu||^3 underflows, and the cubic right-hand side with it; the
+    # residual used to read 0/0 = nan here
+    mu = br.milnor_bracket(1.0, 0.6, -0.4)
+    tiny = br.milnor_bracket(s * 1.0, s * 0.6, s * -0.4)
+    assert fl.soliton_residual(tiny) == pytest.approx(fl.soliton_residual(mu), rel=1e-10)
+    traj = fl.integrate(tiny, 0.01)
+    assert [smp.residual for smp in traj.samples] == [fl.soliton_residual(tiny)] * 2
+
+
 def test_rhs_isotropy_rows_vanish_identically():
     mu = br.circle_isotropy3(0.8, -0.3, 1.1, 0.7)
     rhs = fl.bracket_flow_rhs(mu)
@@ -399,11 +410,13 @@ def test_non_finite_stage_raises_at_once():
     (dict(rtol=0.0, atol=0.0), "atol must be finite and > 0"),
     (dict(atol=math.nan), "atol must be finite and > 0"),
     (dict(atol=-1e-12), "atol must be finite and > 0"),
+    (dict(max_steps=0), "max_steps must be >= 1, got 0"),
+    (dict(max_steps=-5), "max_steps must be >= 1, got -5"),
     (dict(record_stride=0), "record_stride must be >= 1, got 0"),
     (dict(record_stride=-3), "record_stride must be >= 1"),
 ], ids=["t_end_0", "t_end_negative", "t_end_nan", "t_end_inf", "rtol_nan", "rtol_inf",
-        "rtol_negative", "atol_0", "rtol_and_atol_0", "atol_nan", "atol_negative", "stride_0",
-        "stride_negative"])
+        "rtol_negative", "atol_0", "rtol_and_atol_0", "atol_nan", "atol_negative", "max_steps_0",
+        "max_steps_negative", "stride_0", "stride_negative"])
 def test_integrate_refuses_bad_numeric_arguments_by_name(options, message):
     args = dict(t_end=0.5) | options
     with pytest.raises(ValueError, match=f"^{message}"):

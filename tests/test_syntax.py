@@ -1,4 +1,4 @@
-"""Every source and test file parses as Python 3.10, the oldest version
+"""Every source, test and bench file parses as Python 3.10, the oldest version
 pyproject.toml admits, whichever interpreter runs the suite."""
 import ast
 from pathlib import Path
@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.glob("src/homlie/*.py"), *ROOT.glob("tests/*.py")])
+FILES = sorted([*ROOT.glob("src/homlie/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")])
 
 
 def test_the_files_are_found():
     assert ROOT / "src" / "homlie" / "cli.py" in FILES
+    assert ROOT / "bench" / "record.py" in FILES
     assert Path(__file__).resolve() in FILES
 
 
